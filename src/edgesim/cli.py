@@ -171,6 +171,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_outputs(report, out_dir, args.format)
         print(summary_text(report), end="")
         return 0
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (EdgesimError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ horizons; their weighted sum is the composite score used to rank links.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,10 @@ EMA_HORIZONS_S = (60.0, 300.0, 900.0)
 
 DEFAULT_FLOOR_MS = 0.1
 DEFAULT_LINK_BUDGET_MS = 50.0
+
+#: Largest block a link's buffer computes at once. Blocks double from 1 up
+#: to this cap, so a link drawn once (the setup probe) computes one value.
+_BLOCK_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,12 @@ def sample_stable_many(
 ) -> np.ndarray:
     """Draw ``n`` latencies in ms, clamped below at ``floor_ms``.
 
-    Consumes exactly 2n uniforms from ``rng`` in (u, w) pair order, so a
-    vectorized call matches n successive scalar calls on the same stream.
-    Clamping (rather than resampling) keeps the draw count deterministic.
+    Consumes exactly 2n uniforms from ``rng`` in (u, w) pair order, and
+    every transform is elementwise, so a vectorized call returns exactly
+    (bit for bit) the values of n successive scalar calls on the same
+    stream, and splitting n draws into blocks of any sizes changes none of
+    them. ``LinkState`` relies on this to draw in blocks. Clamping (rather
+    than resampling) keeps the draw count deterministic.
     """
     params.validate()
     draws = rng.random((n, 2))
@@ -113,7 +121,7 @@ def sample_stable(
     return float(sample_stable_many(params, rng, 1, floor_ms=floor_ms)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmaState:
     """Smoothed latency over the three horizons, in ms."""
 
@@ -195,9 +203,16 @@ def classify_link(
     return WARNING
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkState:
-    """Mutable bookkeeping for one (bidirectional) link."""
+    """Mutable bookkeeping for one (bidirectional) link.
+
+    ``rng`` is the link's own generator. ``draw()`` reads latencies from a
+    block buffer that ``sample_stable_many`` refills on demand, with block
+    sizes doubling from 1 up to ``_BLOCK_CAP``. Because a block equals the
+    same number of successive scalar draws, the values drawn do not depend
+    on the block sizes; the buffer only saves per-call overhead.
+    """
 
     params: StableParams
     floor_ms: float = DEFAULT_FLOOR_MS
@@ -205,6 +220,23 @@ class LinkState:
     ema: EmaState = field(default_factory=EmaState)
     latest_ms: float | None = None
     status: str = PASS
+    rng: np.random.Generator | None = None
+    _buffer: array = field(default_factory=lambda: array("d"), init=False, repr=False)
+    _cursor: int = field(default=0, init=False, repr=False)
+    _block: int = field(default=1, init=False, repr=False)
+
+    def draw(self) -> float:
+        """Next latency in ms from this link's stream."""
+        if self._cursor == len(self._buffer):
+            if self.rng is None:
+                raise ConfigurationError("link has no random generator to draw from")
+            block = sample_stable_many(self.params, self.rng, self._block, self.floor_ms)
+            self._buffer = array("d", block.tobytes())
+            self._cursor = 0
+            self._block = min(2 * self._block, _BLOCK_CAP)
+        value = self._buffer[self._cursor]
+        self._cursor += 1
+        return value
 
 
 class Nlm:
@@ -219,6 +251,7 @@ class Nlm:
         self.weights = weights or EmaWeights()
         self.weights.validate()
         self._links: dict[tuple[str, str], LinkState] = {}
+        self._pairs: list[tuple[str, str]] | None = None
 
     def add_link(
         self,
@@ -227,13 +260,16 @@ class Nlm:
         params: StableParams,
         floor_ms: float = DEFAULT_FLOOR_MS,
         budget_ms: float = DEFAULT_LINK_BUDGET_MS,
+        rng: np.random.Generator | None = None,
     ) -> None:
+        """Register a link; ``rng`` is the stream ``sample_and_observe`` draws from."""
         if a == b:
             raise ConfigurationError(f"link endpoints must differ, got {a!r} twice")
         params.validate()
-        state = LinkState(params=params, floor_ms=floor_ms, budget_ms=budget_ms)
+        state = LinkState(params=params, floor_ms=floor_ms, budget_ms=budget_ms, rng=rng)
         self._links[(a, b)] = state
         self._links[(b, a)] = state
+        self._pairs = None
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._links
@@ -245,8 +281,14 @@ class Nlm:
             raise ConfigurationError(f"no link registered between {a!r} and {b!r}") from None
 
     def pairs(self) -> list[tuple[str, str]]:
-        """Canonical (sorted) endpoint pairs, one per physical link."""
-        return sorted({tuple(sorted(k)) for k in self._links})
+        """Canonical (sorted) endpoint pairs, one per physical link.
+
+        The list is cached until the next ``add_link`` and shared between
+        callers, who must not mutate it.
+        """
+        if self._pairs is None:
+            self._pairs = sorted(k for k in self._links if k[0] < k[1])
+        return self._pairs
 
     def observe(self, a: str, b: str, sample_ms: float, now_s: float) -> None:
         """Record a measured latency on a link and refresh its status."""
@@ -255,12 +297,9 @@ class Nlm:
         state.latest_ms = sample_ms
         state.status = classify_link(composite_score(state.ema, self.weights), state.budget_ms)
 
-    def sample_and_observe(
-        self, a: str, b: str, rng: np.random.Generator, now_s: float
-    ) -> float:
-        """Draw one latency for a link and fold it into the EMAs."""
-        state = self.link(a, b)
-        sample = sample_stable(state.params, rng, floor_ms=state.floor_ms)
+    def sample_and_observe(self, a: str, b: str, now_s: float) -> float:
+        """Draw one latency from the link's stream and fold it into the EMAs."""
+        sample = self.link(a, b).draw()
         self.observe(a, b, sample, now_s)
         return sample
 

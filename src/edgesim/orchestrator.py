@@ -15,11 +15,9 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .device_model import NodeRuntime, predict_components
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm, sample_stable
+from .net_model import Nlm
 from .profiler_health import CRITICAL, ProfilerState
 
 DEFAULT_COOL_DOWN_S = 5.0
@@ -215,17 +213,13 @@ def _neg_lex(node_id: str) -> tuple[int, ...]:
 
 def migration_cost_ms(
     nlm: Nlm,
-    rng: np.random.Generator,
     source: str,
     target: str,
     handover_overhead_ms: float = DEFAULT_HANDOVER_OVERHEAD_MS,
     now_s: float = 0.0,
 ) -> float:
     """Metadata transfer cost: one inter-node link draw plus fixed overhead."""
-    link = nlm.link(source, target)
-    sample = sample_stable(link.params, rng, floor_ms=link.floor_ms)
-    nlm.observe(source, target, sample, now_s)
-    return sample + handover_overhead_ms
+    return nlm.sample_and_observe(source, target, now_s) + handover_overhead_ms
 
 
 def decision_digest(payload: dict) -> str:

@@ -8,6 +8,7 @@ invariant with a path and a reason before any event runs.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,8 +128,8 @@ class SimConfig:
     profiler_window: int = 20
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError("sim.duration_s must be > 0")
+        if not (0 < self.duration_s < math.inf):
+            raise ConfigurationError("sim.duration_s must be finite and > 0")
         if not (0 <= self.seed < 2**64):
             raise ConfigurationError("sim.seed must be an unsigned 64-bit integer")
         if self.health_epoch_interval_s <= 0:
@@ -217,6 +218,8 @@ def _num(section: dict, path: str, key: str, default=None, required: bool = Fals
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{path}.{key}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{path}.{key}: expected a finite number, got {value!r}")
     return value
 
 

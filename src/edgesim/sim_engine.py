@@ -27,7 +27,7 @@ from .device_model import (
     service_request,
 )
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm
+from .net_model import Nlm, StableParams
 from .orchestrator import (
     POLICY_WEIGHTED,
     TRIGGER_APP,
@@ -87,7 +87,7 @@ def substream(master_seed: int, label: str) -> np.random.Generator:
     """Independent generator for one purpose, derived from the master seed."""
     digest = hashlib.sha256(label.encode()).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    seq = np.random.SeedSequence([master_seed & (2**64 - 1), *words])
+    seq = np.random.SeedSequence([master_seed, *words])
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -246,10 +246,11 @@ class Simulation:
             raise ConfigurationError("invalid scenario:\n  " + "\n  ".join(errors))
         self.scenario = scenario
         self.seed = scenario.sim.seed if seed is None else seed
+        if not (0 <= self.seed < 2**64):
+            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         self.now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Event]] = []
-        self._streams: dict[str, np.random.Generator] = {}
 
         orch = scenario.orchestrator
         self.policy = orch.policy
@@ -309,14 +310,14 @@ class Simulation:
         net = scenario.network
         for i, a in enumerate(node_names):
             for b in node_names[i + 1 :]:
-                self.nlm.add_link(a, b, net.edge_edge, floor_ms=net.floor_ms, budget_ms=net.link_budget_ms)
+                self._add_link(a, b, net.edge_edge)
         for device in sorted(scenario.end_devices, key=lambda d: d.id):
             for name in node_names:
-                self.nlm.add_link(name, device.id, net.edge_device, floor_ms=net.floor_ms, budget_ms=net.link_budget_ms)
+                self._add_link(name, device.id, net.edge_device)
 
         # prime every link with one probe so the matrix is total from t=0
         for a, b in self.nlm.pairs():
-            self.nlm.sample_and_observe(a, b, self._link_stream(a, b), 0.0)
+            self.nlm.sample_and_observe(a, b, 0.0)
 
         for device in sorted(scenario.end_devices, key=lambda d: d.id):
             task = InferenceTask(
@@ -373,12 +374,18 @@ class Simulation:
         self._sequence += 1
         heapq.heappush(self._queue, (event.time, event.sequence, event))
 
-    def _link_stream(self, a: str, b: str) -> np.random.Generator:
+    def _add_link(self, a: str, b: str, params: StableParams) -> None:
+        """Register a link with its own stream, labelled by its sorted endpoints."""
         lo, hi = sorted((a, b))
-        key = f"link:{lo}:{hi}"
-        if key not in self._streams:
-            self._streams[key] = substream(self.seed, key)
-        return self._streams[key]
+        net = self.scenario.network
+        self.nlm.add_link(
+            a,
+            b,
+            params,
+            floor_ms=net.floor_ms,
+            budget_ms=net.link_budget_ms,
+            rng=substream(self.seed, f"link:{lo}:{hi}"),
+        )
 
     # -- status helpers -----------------------------------------------
 
@@ -500,9 +507,7 @@ class Simulation:
         frame.dispatched_at = self.now
         frame.dispatched_to = host
         frame.engine_wait_ms = (self.now - frame.emitted_at) * 1000.0
-        frame.net_out_ms = self.nlm.sample_and_observe(
-            host, frame.end_device_id, self._link_stream(host, frame.end_device_id), self.now
-        )
+        frame.net_out_ms = self.nlm.sample_and_observe(host, frame.end_device_id, self.now)
         self._schedule(
             self.now + frame.net_out_ms / 1000.0,
             EVENT_FRAME_ARRIVAL,
@@ -546,9 +551,7 @@ class Simulation:
             # already serving at the new host
             pass
         outcome = frame.outcome
-        frame.net_back_ms = self.nlm.sample_and_observe(
-            frame.node, frame.end_device_id, self._link_stream(frame.node, frame.end_device_id), self.now
-        )
+        frame.net_back_ms = self.nlm.sample_and_observe(frame.node, frame.end_device_id, self.now)
         queueing = frame.engine_wait_ms + frame.queue_node_ms
         e2e = frame.net_out_ms + queueing + outcome.total_processing_ms + frame.net_back_ms
         state = classify(e2e, frame.qos_ms, self.warn_fraction, self.critical_fraction)
@@ -595,7 +598,7 @@ class Simulation:
 
     def _on_health_epoch(self) -> None:
         for a, b in self.nlm.pairs():
-            self.nlm.sample_and_observe(a, b, self._link_stream(a, b), self.now)
+            self.nlm.sample_and_observe(a, b, self.now)
 
         for name in sorted(self.nodes):
             new = evaluate_health(self.profilers[name], self.warn_fraction, self.critical_fraction)
@@ -705,7 +708,6 @@ class Simulation:
             return
         cost = migration_cost_ms(
             self.nlm,
-            self._link_stream(source, target),
             source,
             target,
             self.scenario.orchestrator.handover_overhead_ms,
@@ -764,7 +766,6 @@ class Simulation:
             if fallback is not None:
                 extra = migration_cost_ms(
                     self.nlm,
-                    self._link_stream(record.from_node, fallback),
                     record.from_node,
                     fallback,
                     self.scenario.orchestrator.handover_overhead_ms,

@@ -12,6 +12,7 @@ from edgesim.net_model import (
     WARNING,
     EmaState,
     EmaWeights,
+    LinkState,
     Nlm,
     StableParams,
     classify_link,
@@ -83,6 +84,34 @@ class TestSampler:
     def test_invalid_params_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             sample_stable(StableParams(alpha=3.0), rng)
+
+
+#: One parameter set per branch of the Chambers-Mallows-Stuck transform.
+CMS_BRANCHES = {
+    "gaussian": StableParams(alpha=2.0, beta=0.0, scale=1.25, location=3.0),
+    "cauchy": StableParams(alpha=1.0, beta=0.0, scale=0.5, location=1.0),
+    "alpha-one-skewed": StableParams(alpha=1.0, beta=0.6, scale=2.0, location=1.0),
+    "symmetric": StableParams(alpha=1.6878, beta=0.0, scale=0.098, location=13.405),
+    "skewed": StableParams(alpha=1.5, beta=0.7, scale=1.0, location=0.0),
+}
+
+
+class TestLinkBuffer:
+    @pytest.mark.parametrize("branch", sorted(CMS_BRANCHES))
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 63, 64, 65, 200])
+    def test_buffered_draws_equal_scalar_draws(self, branch, k):
+        params = CMS_BRANCHES[branch]
+        link = LinkState(params=params, floor_ms=NO_FLOOR, rng=np.random.default_rng(11))
+        buffered = np.array([link.draw() for _ in range(k)])
+        gen = np.random.default_rng(11)
+        scalars = np.array([sample_stable(params, gen, floor_ms=NO_FLOOR) for _ in range(k)])
+        assert np.array_equal(buffered, scalars)
+
+    def test_link_without_generator_cannot_draw(self):
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
+        with pytest.raises(ConfigurationError, match="generator"):
+            nlm.sample_and_observe("edge-a", "edge-b", 0.0)
 
 
 class TestEmaUpdate:
@@ -235,5 +264,7 @@ class TestNlm:
 
     def test_pairs_are_canonical(self):
         nlm = self._nlm()
+        assert nlm.pairs() == [("edge-a", "edge-b")]
+        # a link added after the first call must show up in the next one
         nlm.add_link("edge-c", "edge-a", StableParams(alpha=2.0))
         assert nlm.pairs() == [("edge-a", "edge-b"), ("edge-a", "edge-c")]

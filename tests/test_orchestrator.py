@@ -281,16 +281,20 @@ class TestMigrationCost:
     def test_fixed_link_plus_overhead(self):
         # near-deterministic link pinned at 13 ms
         nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=13.0))
-        cost = migration_cost_ms(nlm, np.random.default_rng(0), "edge-a", "edge-b", 50.0)
+        nlm.add_link(
+            "edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=13.0), rng=np.random.default_rng(0)
+        )
+        cost = migration_cost_ms(nlm, "edge-a", "edge-b", 50.0)
         assert cost == pytest.approx(63.0, abs=1e-6)
 
     def test_degenerate_costs_vanish(self):
         nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=0.0))
+        nlm.add_link(
+            "edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=0.0), rng=np.random.default_rng(0)
+        )
         link = nlm.link("edge-a", "edge-b")
         link.floor_ms = 0.0
-        cost = migration_cost_ms(nlm, np.random.default_rng(0), "edge-a", "edge-b", 0.0)
+        cost = migration_cost_ms(nlm, "edge-a", "edge-b", 0.0)
         assert cost == pytest.approx(0.0, abs=1e-9)
 
     def test_record_requires_distinct_nodes(self):

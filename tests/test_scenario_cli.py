@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,23 @@ class TestStrictParsing:
         doc["sim"]["duration_s"] = "forever"
         with pytest.raises(ConfigurationError, match="sim.duration_s"):
             from_dict(doc)
+
+    def test_infinite_duration_rejected_with_path(self, tmp_path):
+        path = tmp_path / "forever.json"
+        path.write_text('{"sim": {"duration_s": Infinity}}')
+        with pytest.raises(ConfigurationError, match="sim.duration_s"):
+            load_scenario(path)
+
+    def test_nan_qos_rejected_with_path(self):
+        doc = to_dict(presets.default_scenario())
+        doc["end_devices"][0]["qos_ms"] = math.nan
+        with pytest.raises(ConfigurationError, match=r"end_devices\[0\]\.qos_ms"):
+            from_dict(doc)
+
+    def test_infinite_duration_fails_validation(self):
+        scenario = presets.default_scenario()
+        scenario.sim.duration_s = math.inf
+        assert any("sim.duration_s" in e for e in validate(scenario))
 
     def test_round_trip(self, tmp_path):
         scenario = presets.overload_scenario()
@@ -177,6 +195,15 @@ class TestRunCommand:
         assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert "rpi-1" in err
+
+    @pytest.mark.parametrize(
+        "flags", [("--seed", "-1"), ("--seed", str(2**64)), ("--sweep", f"seeds={2**64}..{2**64}")]
+    )
+    def test_out_of_range_seed_exits_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", "default", *flags, "--out", str(out)) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_subcommand_writes_preset(self, tmp_path):
         path = tmp_path / "overload.json"

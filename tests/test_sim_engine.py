@@ -1,12 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from edgesim import presets
+from edgesim import net_model, presets
 from edgesim.device_model import DeviceProfile
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
-from edgesim.scenario import EndDevice, FaultSpec, Scenario
+from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import Simulation, run, schedule_health_epochs, substream
 
 from engine_checks import check_report, downtime_windows
@@ -62,6 +63,31 @@ class TestDeterminism:
         c = substream(42, "link:a:c").random(8)
         assert list(a) == list(b)
         assert list(a) != list(c)
+
+
+def weighted_fault_scenario():
+    scenario = mini_scenario(n_nodes=3, n_devices=4, fps=8.0, duration=20.0, qos=150.0)
+    scenario.network = NetworkConfig()
+    scenario.orchestrator.policy = "weighted"
+    scenario.faults = [FaultSpec(node_id="node-b", at_s=5.0, duration_s=6.0)]
+    return scenario
+
+
+class TestBlockBuffering:
+    @pytest.mark.parametrize(
+        "build",
+        [presets.default_scenario, presets.overload_scenario, presets.fault_scenario, weighted_fault_scenario],
+    )
+    def test_block_size_never_changes_a_report(self, build, monkeypatch):
+        def report_sha256():
+            text = json.dumps(run(build(), seed=1).to_dict())
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        buffered = report_sha256()
+        # a cap of 1 draws every latency with its own sampler call
+        monkeypatch.setattr(net_model, "_BLOCK_CAP", 1)
+        # digests, not the reports, so a failure does not diff megabytes
+        assert report_sha256() == buffered
 
 
 class TestArrivalCounting:
@@ -295,6 +321,11 @@ class TestOffloadingComparison:
 
 
 class TestValidationGate:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_override_out_of_range_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            Simulation(mini_scenario(), seed=seed)
+
     def test_invalid_scenario_rejected_before_any_event(self):
         scenario = mini_scenario()
         scenario.end_devices[0].fps = -1.0
