@@ -203,12 +203,7 @@ def assign_weighted(
             f"no healthy reachable node available for device {end_device_id!r}"
         )
     weights = node_weights(nodes, candidates, frame_size, end_device_id, nlm, coeffs)
-    return max(candidates, key=lambda n: (weights[n].w_combined, _neg_lex(n)))
-
-
-def _neg_lex(node_id: str) -> tuple[int, ...]:
-    # max() with lexicographic ties needs an inverted key
-    return tuple(-ord(c) for c in node_id)
+    return min(candidates, key=lambda n: (-weights[n].w_combined, n))
 
 
 def migration_cost_ms(

@@ -7,9 +7,12 @@ invariant with a path and a reason before any event runs.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import re
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -171,6 +174,8 @@ def validate(scenario: Scenario) -> list[str]:
         except ConfigurationError as exc:
             errors.append(f"{path}: {exc}")
 
+    for path in _nonfinite(to_dict(scenario)):
+        errors.append(f"{path[1:]}: must be a finite number")  # drop the root's leading "."
     if not scenario.devices:
         errors.append("devices: at least one edge node is required")
     if not scenario.end_devices:
@@ -199,314 +204,141 @@ def validate(scenario: Scenario) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# strict dict <-> dataclass conversion
+# strict dict <-> dataclass conversion, driven by the dataclass fields
 
 
-def _strict(section: dict, path: str, known: set[str]) -> None:
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{path}: expected an object, got {type(section).__name__}")
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(unknown)}")
+@dataclass
+class _CalibrationPoint:
+    """One JSON entry of ``DeviceProfile.calibration``."""
+
+    frame_size_px: int
+    n_instances: int
+    cpu_ms: float
+    accel_ms: float
 
 
-def _num(section: dict, path: str, key: str, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: required")
-        return default
-    value = section[key]
+# The type of DeviceProfile.calibration, kept in JSON as a list of points.
+_CALIBRATION = dict[tuple[int, int], tuple[float, float]]
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[dict[str, object], tuple[str, ...]]:
+    """Resolved field types of a dataclass, in field order, and the names with no default."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = tuple(
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    return {f.name: hints[f.name] for f in fields}, required
+
+
+def _decode_object(cls: type, value, path: str):
+    """A ``cls`` from a JSON object; ``path`` is empty at the document root."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{path or 'scenario'}: expected an object, got {type(value).__name__}"
+        )
+    types, required = _schema(cls)
+    if not types.keys() >= value.keys():
+        unknown = sorted(value.keys() - types.keys())
+        raise ConfigurationError(f"{path or 'scenario'}: unknown keys {unknown}")
+    prefix = f"{path}." if path else ""
+    for name in required:
+        if name not in value:
+            raise ConfigurationError(f"{prefix}{name}: required")
+    return cls(**{name: _decode(types[name], item, prefix + name) for name, item in value.items()})
+
+
+def _number(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(f"{path}.{key}: expected a finite number, got {value!r}")
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
-def _text(section: dict, path: str, key: str, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigurationError(f"{path}.{key}: required")
-        return default
-    value = section[key]
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
+def _decode(tp, value, path: str):
+    """``value`` parsed from JSON as the resolved field type ``tp``."""
+    if tp is float:
+        try:
+            return float(_number(value, path))
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigurationError(f"{path}: expected a finite number, got {value!r}") from None
+    if tp is int:
+        value = _number(value, path)
+        if isinstance(value, float):
+            if not value.is_integer():
+                raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
+            value = int(value)
+        return value
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigurationError(f"{path}: expected a string, got {value!r}")
+        return value
+    if tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"{path}: expected true/false, got {value!r}")
+        return value
+    if tp == _CALIBRATION:
+        table = {}
+        for j, point in enumerate(_decode(list[_CalibrationPoint], value, path)):
+            key = (point.frame_size_px, point.n_instances)
+            if key in table:
+                raise ConfigurationError(f"{path}[{j}]: duplicate calibration point {key}")
+            table[key] = (point.cpu_ms, point.accel_ms)
+        return table
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path}: expected a list, got {type(value).__name__}")
+        (item_type,) = typing.get_args(tp)
+        return [_decode(item_type, item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if dataclasses.is_dataclass(tp):
+        return _decode_object(tp, value, path)
+    raise TypeError(f"{path}: no decoder for field type {tp!r}")
 
 
-def _flag(section: dict, path: str, key: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{path}.{key}: expected true/false, got {value!r}")
-    return value
+def _encode(value):
+    """Inverse of ``_decode``: dataclasses become objects in field order."""
+    if isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):  # the only dict field is DeviceProfile.calibration
+        return [
+            vars(_CalibrationPoint(f, n, cpu, accel))
+            for (f, n), (cpu, accel) in sorted(value.items())
+        ]
+    return {name: _encode(getattr(value, name)) for name in _schema(type(value))[0]}
 
 
-def _stable_params(section: dict, path: str) -> StableParams:
-    _strict(section, path, {"alpha", "beta", "scale", "location"})
-    return StableParams(
-        alpha=_num(section, path, "alpha", required=True),
-        beta=_num(section, path, "beta", 0.0),
-        scale=_num(section, path, "scale", required=True),
-        location=_num(section, path, "location", 0.0),
-    )
-
-
-def _device_profile(section: dict, path: str) -> DeviceProfile:
-    _strict(
-        section,
-        path,
-        {"name", "accelerator_kind", "calibration", "model_load_ms", "max_instances", "cpu_pre_fraction"},
-    )
-    raw = section.get("calibration")
-    if not isinstance(raw, list):
-        raise ConfigurationError(f"{path}.calibration: expected a list of entries")
-    table: dict[tuple[int, int], tuple[float, float]] = {}
-    for j, entry in enumerate(raw):
-        epath = f"{path}.calibration[{j}]"
-        _strict(entry, epath, {"frame_size_px", "n_instances", "cpu_ms", "accel_ms"})
-        key = (
-            int(_num(entry, epath, "frame_size_px", required=True)),
-            int(_num(entry, epath, "n_instances", required=True)),
-        )
-        if key in table:
-            raise ConfigurationError(f"{epath}: duplicate calibration point {key}")
-        table[key] = (
-            float(_num(entry, epath, "cpu_ms", required=True)),
-            float(_num(entry, epath, "accel_ms", required=True)),
-        )
-    return DeviceProfile(
-        name=_text(section, path, "name", required=True),
-        accelerator_kind=_text(section, path, "accelerator_kind", required=True),
-        calibration=table,
-        model_load_ms=float(_num(section, path, "model_load_ms", 2000.0)),
-        max_instances=int(_num(section, path, "max_instances", 4)),
-        cpu_pre_fraction=float(_num(section, path, "cpu_pre_fraction", 0.7)),
-    )
+def _nonfinite(doc) -> list[str]:
+    """Path suffix (``.key`` / ``[i]`` steps) of every non-finite float in ``doc``."""
+    if isinstance(doc, float):
+        return [] if math.isfinite(doc) else [""]
+    if isinstance(doc, dict):
+        return [f".{key}{rest}" for key, item in doc.items() for rest in _nonfinite(item)]
+    if isinstance(doc, list):
+        return [f"[{i}]{rest}" for i, item in enumerate(doc) for rest in _nonfinite(item)]
+    return []
 
 
 def from_dict(doc: dict) -> Scenario:
     """Build a scenario from a parsed document, rejecting unknown keys."""
-    _strict(doc, "scenario", {"devices", "end_devices", "network", "orchestrator", "sim", "faults"})
-    scenario = Scenario()
-
-    devices = doc.get("devices", [])
-    if not isinstance(devices, list):
-        raise ConfigurationError("devices: expected a list")
-    scenario.devices = [_device_profile(d, f"devices[{i}]") for i, d in enumerate(devices)]
-
-    end_devices = doc.get("end_devices", [])
-    if not isinstance(end_devices, list):
-        raise ConfigurationError("end_devices: expected a list")
-    parsed = []
-    for i, section in enumerate(end_devices):
-        path = f"end_devices[{i}]"
-        _strict(section, path, {"id", "fps", "frame_size_px", "qos_ms", "service", "start_s"})
-        parsed.append(
-            EndDevice(
-                id=_text(section, path, "id", required=True),
-                fps=float(_num(section, path, "fps", required=True)),
-                frame_size_px=int(_num(section, path, "frame_size_px", required=True)),
-                qos_ms=float(_num(section, path, "qos_ms", required=True)),
-                service=_text(section, path, "service", "objd"),
-                start_s=float(_num(section, path, "start_s", 0.0)),
-            )
-        )
-    scenario.end_devices = parsed
-
-    if "network" in doc:
-        section = doc["network"]
-        path = "network"
-        _strict(
-            section,
-            path,
-            {"edge_edge", "edge_device", "ema_weights", "link_budget_ms", "floor_ms", "gossip"},
-        )
-        network = NetworkConfig()
-        if "edge_edge" in section:
-            network.edge_edge = _stable_params(section["edge_edge"], f"{path}.edge_edge")
-        if "edge_device" in section:
-            network.edge_device = _stable_params(section["edge_device"], f"{path}.edge_device")
-        if "ema_weights" in section:
-            wpath = f"{path}.ema_weights"
-            _strict(section["ema_weights"], wpath, {"w_1m", "w_5m", "w_15m"})
-            network.ema_weights = EmaWeights(
-                w_1m=_num(section["ema_weights"], wpath, "w_1m", required=True),
-                w_5m=_num(section["ema_weights"], wpath, "w_5m", required=True),
-                w_15m=_num(section["ema_weights"], wpath, "w_15m", required=True),
-            )
-        network.link_budget_ms = float(_num(section, path, "link_budget_ms", network.link_budget_ms))
-        network.floor_ms = float(_num(section, path, "floor_ms", network.floor_ms))
-        if "gossip" in section:
-            gpath = f"{path}.gossip"
-            _strict(section["gossip"], gpath, {"message_bytes", "interval_s"})
-            network.gossip = GossipConfig(
-                message_bytes=float(_num(section["gossip"], gpath, "message_bytes", required=True)),
-                interval_s=float(_num(section["gossip"], gpath, "interval_s", required=True)),
-            )
-        scenario.network = network
-
-    if "orchestrator" in doc:
-        section = doc["orchestrator"]
-        path = "orchestrator"
-        _strict(
-            section,
-            path,
-            {
-                "policy",
-                "allocation_weights",
-                "warn_fraction",
-                "critical_fraction",
-                "cool_down_s",
-                "handover_overhead_ms",
-                "offloading_enabled",
-            },
-        )
-        orch = OrchestratorConfig()
-        orch.policy = _text(section, path, "policy", orch.policy)
-        if "allocation_weights" in section:
-            wpath = f"{path}.allocation_weights"
-            _strict(section["allocation_weights"], wpath, {"alpha", "beta", "gamma"})
-            orch.allocation_weights = AllocationWeights(
-                alpha=_num(section["allocation_weights"], wpath, "alpha", required=True),
-                beta=_num(section["allocation_weights"], wpath, "beta", required=True),
-                gamma=_num(section["allocation_weights"], wpath, "gamma", required=True),
-            )
-        orch.warn_fraction = float(_num(section, path, "warn_fraction", orch.warn_fraction))
-        orch.critical_fraction = float(
-            _num(section, path, "critical_fraction", orch.critical_fraction)
-        )
-        orch.cool_down_s = float(_num(section, path, "cool_down_s", orch.cool_down_s))
-        orch.handover_overhead_ms = float(
-            _num(section, path, "handover_overhead_ms", orch.handover_overhead_ms)
-        )
-        orch.offloading_enabled = _flag(section, path, "offloading_enabled", orch.offloading_enabled)
-        scenario.orchestrator = orch
-
-    if "sim" in doc:
-        section = doc["sim"]
-        path = "sim"
-        _strict(
-            section,
-            path,
-            {"duration_s", "seed", "health_epoch_interval_s", "preload_models", "profiler_window"},
-        )
-        sim = SimConfig()
-        sim.duration_s = float(_num(section, path, "duration_s", sim.duration_s))
-        sim.seed = int(_num(section, path, "seed", sim.seed))
-        sim.health_epoch_interval_s = float(
-            _num(section, path, "health_epoch_interval_s", sim.health_epoch_interval_s)
-        )
-        sim.preload_models = _flag(section, path, "preload_models", sim.preload_models)
-        sim.profiler_window = int(_num(section, path, "profiler_window", sim.profiler_window))
-        scenario.sim = sim
-
-    faults = doc.get("faults", [])
-    if not isinstance(faults, list):
-        raise ConfigurationError("faults: expected a list")
-    parsed_faults = []
-    for i, section in enumerate(faults):
-        path = f"faults[{i}]"
-        _strict(section, path, {"node_id", "at_s", "duration_s"})
-        parsed_faults.append(
-            FaultSpec(
-                node_id=_text(section, path, "node_id", required=True),
-                at_s=float(_num(section, path, "at_s", required=True)),
-                duration_s=float(_num(section, path, "duration_s", required=True)),
-            )
-        )
-    scenario.faults = parsed_faults
-    return scenario
+    return _decode_object(Scenario, doc, "")
 
 
 def to_dict(scenario: Scenario) -> dict:
     """Inverse of ``from_dict``; the pair round-trips."""
-    return {
-        "devices": [
-            {
-                "name": p.name,
-                "accelerator_kind": p.accelerator_kind,
-                "calibration": [
-                    {
-                        "frame_size_px": f,
-                        "n_instances": n,
-                        "cpu_ms": cpu,
-                        "accel_ms": accel,
-                    }
-                    for (f, n), (cpu, accel) in sorted(p.calibration.items())
-                ],
-                "model_load_ms": p.model_load_ms,
-                "max_instances": p.max_instances,
-                "cpu_pre_fraction": p.cpu_pre_fraction,
-            }
-            for p in scenario.devices
-        ],
-        "end_devices": [
-            {
-                "id": d.id,
-                "fps": d.fps,
-                "frame_size_px": d.frame_size_px,
-                "qos_ms": d.qos_ms,
-                "service": d.service,
-                "start_s": d.start_s,
-            }
-            for d in scenario.end_devices
-        ],
-        "network": {
-            "edge_edge": _params_dict(scenario.network.edge_edge),
-            "edge_device": _params_dict(scenario.network.edge_device),
-            "ema_weights": {
-                "w_1m": scenario.network.ema_weights.w_1m,
-                "w_5m": scenario.network.ema_weights.w_5m,
-                "w_15m": scenario.network.ema_weights.w_15m,
-            },
-            "link_budget_ms": scenario.network.link_budget_ms,
-            "floor_ms": scenario.network.floor_ms,
-            "gossip": {
-                "message_bytes": scenario.network.gossip.message_bytes,
-                "interval_s": scenario.network.gossip.interval_s,
-            },
-        },
-        "orchestrator": {
-            "policy": scenario.orchestrator.policy,
-            "allocation_weights": {
-                "alpha": scenario.orchestrator.allocation_weights.alpha,
-                "beta": scenario.orchestrator.allocation_weights.beta,
-                "gamma": scenario.orchestrator.allocation_weights.gamma,
-            },
-            "warn_fraction": scenario.orchestrator.warn_fraction,
-            "critical_fraction": scenario.orchestrator.critical_fraction,
-            "cool_down_s": scenario.orchestrator.cool_down_s,
-            "handover_overhead_ms": scenario.orchestrator.handover_overhead_ms,
-            "offloading_enabled": scenario.orchestrator.offloading_enabled,
-        },
-        "sim": {
-            "duration_s": scenario.sim.duration_s,
-            "seed": scenario.sim.seed,
-            "health_epoch_interval_s": scenario.sim.health_epoch_interval_s,
-            "preload_models": scenario.sim.preload_models,
-            "profiler_window": scenario.sim.profiler_window,
-        },
-        "faults": [
-            {"node_id": f.node_id, "at_s": f.at_s, "duration_s": f.duration_s}
-            for f in scenario.faults
-        ],
-    }
-
-
-def _params_dict(params: StableParams) -> dict:
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "scale": params.scale,
-        "location": params.location,
-    }
+    return _encode(scenario)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
     return from_dict(doc)
 

@@ -119,7 +119,6 @@ class _Frame:
     queue_node_ms: float = 0.0
     net_out_ms: float = 0.0
     net_back_ms: float = 0.0
-    deferred: bool = False
     outcome: object = None
 
 
@@ -157,30 +156,6 @@ class FrameRecord:
     e2e_ms: float
     state: str
 
-    def to_dict(self) -> dict:
-        return {
-            "frame_id": self.frame_id,
-            "task_id": self.task_id,
-            "end_device": self.end_device,
-            "node": self.node,
-            "dispatched_to": self.dispatched_to,
-            "frame_size_px": self.frame_size_px,
-            "n_instances": self.n_instances,
-            "qos_ms": self.qos_ms,
-            "emitted_at": self.emitted_at,
-            "dispatched_at": self.dispatched_at,
-            "completed_at": self.completed_at,
-            "net_out_ms": self.net_out_ms,
-            "queueing_ms": self.queueing_ms,
-            "cpu_ms": self.cpu_ms,
-            "accel_ms": self.accel_ms,
-            "model_load_ms": self.model_load_ms,
-            "processing_ms": self.processing_ms,
-            "net_back_ms": self.net_back_ms,
-            "e2e_ms": self.e2e_ms,
-            "state": self.state,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -211,21 +186,8 @@ class MetricsReport:
             "duration_s": self.duration_s,
             "counters": dict(sorted(self.counters.items())),
             "gossip_kbps_per_node": self.gossip_kbps_per_node,
-            "frames": [f.to_dict() for f in self.frames],
-            "migrations": [
-                {
-                    "task_id": m.task_id,
-                    "from_node": m.from_node,
-                    "to_node": m.to_node,
-                    "trigger": m.trigger,
-                    "metadata_transfer_ms": m.metadata_transfer_ms,
-                    "decided_at": m.decided_at,
-                    "completed_at": m.completed_at,
-                    "retried": m.retried,
-                    "abandoned": m.abandoned,
-                }
-                for m in self.migrations
-            ],
+            "frames": [dict(vars(f)) for f in self.frames],
+            "migrations": [dict(vars(m)) for m in self.migrations],
             "instance_series": {k: [list(p) for p in v] for k, v in sorted(self.instance_series.items())},
             "utilization": dict(sorted(self.utilization.items())),
             "breakdown": self.breakdown,
@@ -490,7 +452,6 @@ class Simulation:
         if ts.migration is None and host is not None and self._dispatchable(host):
             self._dispatch(frame)
             return
-        frame.deferred = True
         self.counters["deferred_frames"] += 1
         superseded = self.pending.get(frame.task_id)
         if superseded is not None:

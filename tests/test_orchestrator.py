@@ -263,6 +263,15 @@ class TestAssignWeighted:
         statuses = {"na": HEALTHY, "nb": HEALTHY}
         assert assign_weighted(nodes, statuses, 600, "rpi-1", nlm, AllocationWeights()) == "na"
 
+    def test_ties_lexicographic_when_one_id_prefixes_another(self):
+        nodes = {
+            "node-b": NodeRuntime(profile=single_point_profile("node-b", 10.0, 30.0)),
+            "node": NodeRuntime(profile=single_point_profile("node", 10.0, 30.0)),
+        }
+        nlm = nlm_with_scores({"node": 5.0, "node-b": 5.0})
+        statuses = {"node": HEALTHY, "node-b": HEALTHY}
+        assert assign_weighted(nodes, statuses, 600, "rpi-1", nlm, AllocationWeights()) == "node"
+
 
 class TestAllocationWeights:
     def test_default_valid(self):

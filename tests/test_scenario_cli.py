@@ -1,15 +1,37 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import re
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesim import presets
-from edgesim.cli import FRAME_COLUMNS, main
+from edgesim.cli import FRAME_COLUMNS, PRESET_SCENARIOS, main
+from edgesim.device_model import DeviceProfile
 from edgesim.errors import ConfigurationError
-from edgesim.scenario import from_dict, load_scenario, save_scenario, to_dict, validate
+from edgesim.net_model import EmaWeights, StableParams
+from edgesim.orchestrator import AllocationWeights
+from edgesim.scenario import (
+    EndDevice,
+    FaultSpec,
+    GossipConfig,
+    NetworkConfig,
+    OrchestratorConfig,
+    Scenario,
+    SimConfig,
+    _CalibrationPoint,
+    from_dict,
+    load_scenario,
+    save_scenario,
+    to_dict,
+    validate,
+)
 
 
 class TestValidate:
@@ -35,6 +57,14 @@ class TestValidate:
         doc["faults"] = [{"node_id": "ghost", "at_s": 1.0, "duration_s": 1.0}]
         errors = validate(from_dict(doc))
         assert any("ghost" in e for e in errors)
+
+    def test_non_finite_floats_set_in_python_reported_with_path(self):
+        scenario = presets.default_scenario()
+        scenario.end_devices[0].qos_ms = math.nan
+        scenario.network.edge_edge = dataclasses.replace(scenario.network.edge_edge, alpha=math.nan)
+        errors = validate(scenario)
+        assert "end_devices[0].qos_ms: must be a finite number" in errors
+        assert "network.edge_edge.alpha: must be a finite number" in errors
 
     def test_duplicate_node_names_reported(self):
         scenario = presets.default_scenario()
@@ -86,11 +116,145 @@ class TestStrictParsing:
         loaded = load_scenario(path)
         assert to_dict(loaded) == to_dict(scenario)
 
+    def test_duplicate_calibration_point_rejected_with_path(self):
+        doc = to_dict(presets.default_scenario())
+        points = doc["devices"][0]["calibration"]
+        points.append(dict(points[0]))
+        path = re.escape(f"devices[0].calibration[{len(points) - 1}]")
+        with pytest.raises(ConfigurationError, match=rf"^{path}: duplicate calibration point"):
+            from_dict(doc)
+
+    def test_integer_beyond_float_range_rejected_with_path(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"sim": {"duration_s": 1%s}}' % ("0" * 400))
+        with pytest.raises(ConfigurationError, match="sim.duration_s: expected a finite number"):
+            load_scenario(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             load_scenario(path)
+
+    def test_overlong_integer_literal_rejected(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"sim": {"seed": 1%s}}' % ("0" * 5000))
+        with pytest.raises(ConfigurationError, match="invalid JSON"):
+            load_scenario(path)
+
+
+# Every dataclass in the document, keyed by where its first instance sits
+# in ``to_dict(presets.fault_scenario())``.
+SECTIONS = {
+    (): Scenario,
+    ("devices", 0): DeviceProfile,
+    ("devices", 0, "calibration", 0): _CalibrationPoint,
+    ("end_devices", 0): EndDevice,
+    ("network",): NetworkConfig,
+    ("network", "edge_edge"): StableParams,
+    ("network", "ema_weights"): EmaWeights,
+    ("network", "gossip"): GossipConfig,
+    ("orchestrator",): OrchestratorConfig,
+    ("orchestrator", "allocation_weights"): AllocationWeights,
+    ("sim",): SimConfig,
+    ("faults", 0): FaultSpec,
+}
+
+INT_FIELDS = [
+    (("devices", 0), "max_instances"),
+    (("devices", 0, "calibration", 0), "frame_size_px"),
+    (("devices", 0, "calibration", 0), "n_instances"),
+    (("end_devices", 0), "frame_size_px"),
+    (("sim",), "seed"),
+    (("sim",), "profiler_window"),
+]
+
+# sha256 of ``json.dumps(to_dict(preset), indent=2, sort_keys=True)``, as
+# written before the codec was derived from the dataclasses.
+PRESET_SHA256 = {
+    "default": "f55a4b135cc44386150331095f9e27ac4993f84d5c5a012a2c3005035b77ce38",
+    "overload": "a5c1a2ad5dbfa108c5cfbba3b866254f8d9ef004ea8f584a58f549b02bea67b2",
+    "fault": "aaaff3960f03385ba6460005a3cf18a0104c1790a722379a4be92c9a6ca3be3d",
+}
+
+
+def _path(steps) -> str:
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps).lstrip(".")
+
+
+def _section(doc, steps):
+    for step in steps:
+        doc = doc[step]
+    return doc
+
+
+def _values(tp):
+    """Hypothesis strategy for any value the codec accepts as type ``tp``."""
+    if tp is float:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if tp is int:
+        return st.integers(min_value=0, max_value=2**64 - 1)
+    if tp is str:
+        return st.text(max_size=6)
+    if tp is bool:
+        return st.booleans()
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list:
+        return st.lists(_values(args[0]), max_size=2)
+    if origin is dict:
+        return st.dictionaries(_values(args[0]), _values(args[1]), max_size=3)
+    if origin is tuple:
+        return st.tuples(*map(_values, args))
+    hints = typing.get_type_hints(tp)
+    return st.builds(tp, **{f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)})
+
+
+class TestCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(_values(Scenario))
+    def test_round_trip_through_json(self, scenario):
+        assert from_dict(json.loads(json.dumps(to_dict(scenario)))) == scenario
+
+    @pytest.mark.parametrize("steps", list(SECTIONS), ids=_path)
+    def test_unknown_key_rejected_with_path(self, steps):
+        doc = to_dict(presets.fault_scenario())
+        _section(doc, steps)["bogus"] = 1
+        where = re.escape(_path(steps) or "scenario")
+        with pytest.raises(ConfigurationError, match=rf"^{where}: unknown keys \['bogus'\]$"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize("steps", list(SECTIONS), ids=_path)
+    def test_field_required_exactly_when_it_has_no_default(self, steps):
+        for f in dataclasses.fields(SECTIONS[steps]):
+            doc = to_dict(presets.fault_scenario())
+            del _section(doc, steps)[f.name]
+            path = re.escape(_path((*steps, f.name)))
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                with pytest.raises(ConfigurationError, match=rf"^{path}: required$"):
+                    from_dict(doc)
+            else:
+                parsed = from_dict(doc)
+                for step in steps:
+                    parsed = parsed[step] if isinstance(step, int) else getattr(parsed, step)
+                default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+                assert getattr(parsed, f.name) == default
+
+    @pytest.mark.parametrize("steps, name", INT_FIELDS, ids=[_path((*s, n)) for s, n in INT_FIELDS])
+    def test_int_field_rejects_fractional_and_accepts_integral_float(self, steps, name):
+        doc = to_dict(presets.fault_scenario())
+        section = _section(doc, steps)
+        section[name] = float(section[name]) + 0.5
+        path = re.escape(_path((*steps, name)))
+        with pytest.raises(ConfigurationError, match=rf"^{path}: expected an integer"):
+            from_dict(doc)
+        section[name] -= 0.5
+        parsed = to_dict(from_dict(doc))
+        assert type(_section(parsed, steps)[name]) is int
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_preset_documents_are_unchanged(self, name):
+        text = json.dumps(to_dict(PRESET_SCENARIOS[name]()), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[name]
 
 
 def run_cli(*args):
