@@ -2,8 +2,7 @@
 
 The registry is a single authoritative map standing in for a full
 control plane; consensus and membership gossip are abstracted to a
-bandwidth accounting formula plus an optional propagation delay between
-a health transition and its visibility to queries.
+bandwidth accounting formula.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, LookupParseError
-from .net_model import Nlm
+from .net_model import Nlm, link_score
 
 LOOKUP_SUFFIX = ("inference", "service", "consul")
 _LABEL_RE = re.compile(r"^[a-z0-9-]+$")
@@ -60,71 +59,38 @@ def parse_lookup(name: str) -> LookupName:
     return LookupName(service=service)
 
 
-@dataclass
-class ServiceRecord:
-    """One (service, node) advertisement with its visible health."""
-
-    service_name: str
-    node_id: str
-    status: str = HEALTHY
-    pending_status: str | None = None
-    pending_at: float = 0.0
-
-
 class ServiceRegistry:
-    """Authoritative map of advertised services, keyed (service, node).
+    """Authoritative map of advertised services: (service, node) to status.
 
-    Health transitions become visible ``propagation_delay_s`` after they
-    are reported, modeling control-plane dissemination lag (0 by default).
+    A health change is visible to the next query.
     """
 
-    def __init__(self, propagation_delay_s: float = 0.0):
-        if propagation_delay_s < 0:
-            raise ConfigurationError("propagation delay must be >= 0")
-        self.propagation_delay_s = propagation_delay_s
-        self._records: dict[tuple[str, str], ServiceRecord] = {}
+    def __init__(self):
+        self._status: dict[tuple[str, str], str] = {}
 
     def register(self, service_name: str, node_id: str) -> None:
-        key = (service_name, node_id)
-        if key not in self._records:
-            self._records[key] = ServiceRecord(service_name, node_id)
+        self._status.setdefault((service_name, node_id), HEALTHY)
 
-    def set_health(self, service_name: str, node_id: str, healthy: bool, now_s: float) -> None:
-        record = self._records.get((service_name, node_id))
-        if record is None:
+    def set_health(self, service_name: str, node_id: str, healthy: bool) -> None:
+        key = (service_name, node_id)
+        if key not in self._status:
             raise ConfigurationError(
                 f"service {service_name!r} is not registered on node {node_id!r}"
             )
-        status = HEALTHY if healthy else UNHEALTHY
-        if self.propagation_delay_s == 0.0:
-            record.status = status
-            record.pending_status = None
-        elif status != self._visible_status(record, now_s):
-            record.pending_status = status
-            record.pending_at = now_s + self.propagation_delay_s
+        self._status[key] = HEALTHY if healthy else UNHEALTHY
 
-    def _visible_status(self, record: ServiceRecord, now_s: float) -> str:
-        if record.pending_status is not None and now_s >= record.pending_at:
-            record.status = record.pending_status
-            record.pending_status = None
-        return record.status
-
-    def nodes_for(self, service_name: str, now_s: float = 0.0) -> list[tuple[str, str]]:
-        """All (node_id, visible status) pairs advertising a service."""
-        out = []
-        for (svc, node_id), record in sorted(self._records.items()):
-            if svc == service_name:
-                out.append((node_id, self._visible_status(record, now_s)))
-        return out
-
-    def dump(self, now_s: float = 0.0) -> list[dict]:
+    def nodes_for(self, service_name: str) -> list[tuple[str, str]]:
+        """All (node_id, status) pairs advertising a service."""
         return [
-            {
-                "service": svc,
-                "node": node,
-                "status": self._visible_status(record, now_s),
-            }
-            for (svc, node), record in sorted(self._records.items())
+            (node_id, status)
+            for (svc, node_id), status in sorted(self._status.items())
+            if svc == service_name
+        ]
+
+    def dump(self) -> list[dict]:
+        return [
+            {"service": svc, "node": node, "status": status}
+            for (svc, node), status in sorted(self._status.items())
         ]
 
 
@@ -134,7 +100,6 @@ def resolve(
     querying_id: str,
     nlm: Nlm,
     reachable: dict[str, bool],
-    now_s: float = 0.0,
 ) -> list[str]:
     """Healthy, reachable providers of a service, best link first.
 
@@ -142,14 +107,12 @@ def resolve(
     ties broken by node id, so results are a stable total order for equal
     state. Unknown services resolve to an empty list.
     """
-    candidates = []
-    for node_id, status in registry.nodes_for(service_name, now_s):
-        if status != HEALTHY or not reachable.get(node_id, False):
-            continue
-        score = nlm.score(node_id, querying_id) if nlm.has_link(node_id, querying_id) else float("inf")
-        candidates.append((score, node_id))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return [node_id for _, node_id in candidates]
+    candidates = [
+        node_id
+        for node_id, status in registry.nodes_for(service_name)
+        if status == HEALTHY and reachable.get(node_id, False)
+    ]
+    return sorted(candidates, key=lambda n: (link_score(nlm, n, querying_id), n))
 
 
 def gossip_bandwidth(message_bytes: float, interval_s: float) -> float:

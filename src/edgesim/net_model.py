@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NotReadyError, TimeRegressionError
-
-PASS = "pass"
-WARNING = "warning"
-CRITICAL = "critical"
+from .profiler_health import PASS, classify
 
 #: EMA horizons in seconds (1, 5, 15 minutes).
 EMA_HORIZONS_S = (60.0, 300.0, 900.0)
@@ -183,26 +180,6 @@ def composite_score(state: EmaState, weights: EmaWeights) -> float:
     )
 
 
-def classify_link(
-    score_ms: float,
-    budget_ms: float,
-    warn_fraction: float = 0.75,
-    critical_fraction: float = 0.90,
-) -> str:
-    """Rank a link score against its latency budget.
-
-    Reuses the QoS fractions: below 75% of budget is pass, above 90% is
-    critical, boundaries fall into warning.
-    """
-    if budget_ms <= 0:
-        raise ConfigurationError(f"link budget must be > 0, got {budget_ms}")
-    if score_ms < warn_fraction * budget_ms:
-        return PASS
-    if score_ms > critical_fraction * budget_ms:
-        return CRITICAL
-    return WARNING
-
-
 @dataclass(slots=True)
 class LinkState:
     """Mutable bookkeeping for one (bidirectional) link.
@@ -219,7 +196,6 @@ class LinkState:
     budget_ms: float = DEFAULT_LINK_BUDGET_MS
     ema: EmaState = field(default_factory=EmaState)
     latest_ms: float | None = None
-    status: str = PASS
     rng: np.random.Generator | None = None
     _buffer: array = field(default_factory=lambda: array("d"), init=False, repr=False)
     _cursor: int = field(default=0, init=False, repr=False)
@@ -291,11 +267,10 @@ class Nlm:
         return self._pairs
 
     def observe(self, a: str, b: str, sample_ms: float, now_s: float) -> None:
-        """Record a measured latency on a link and refresh its status."""
+        """Record a measured latency on a link."""
         state = self.link(a, b)
         state.ema = ema_update(state.ema, sample_ms, now_s)
         state.latest_ms = sample_ms
-        state.status = classify_link(composite_score(state.ema, self.weights), state.budget_ms)
 
     def sample_and_observe(self, a: str, b: str, now_s: float) -> float:
         """Draw one latency from the link's stream and fold it into the EMAs."""
@@ -311,17 +286,27 @@ class Nlm:
         return composite_score(state.ema, self.weights)
 
     def status(self, a: str, b: str) -> str:
-        return self.link(a, b).status
+        return self._view(self.link(a, b))["status"]
 
     def snapshot(self) -> dict[str, dict]:
         """Serializable view of every canonical link, sorted by endpoints."""
-        out = {}
-        for a, b in self.pairs():
-            state = self._links[(a, b)]
-            out[f"{a}|{b}"] = {
-                "score_ms": None if not state.ema.initialized else composite_score(state.ema, self.weights),
-                "latest_ms": state.latest_ms,
-                "status": state.status,
-                "budget_ms": state.budget_ms,
-            }
-        return out
+        return {f"{a}|{b}": self._view(self._links[(a, b)]) for a, b in self.pairs()}
+
+    def _view(self, state: LinkState) -> dict:
+        """A link's score and its status, classified when read against the
+        link's budget; pass before any sample."""
+        score = composite_score(state.ema, self.weights) if state.ema.initialized else None
+        return {
+            "score_ms": score,
+            "latest_ms": state.latest_ms,
+            "status": PASS if score is None else classify(score, state.budget_ms),
+            "budget_ms": state.budget_ms,
+        }
+
+
+def link_score(nlm: Nlm, a: str, b: str) -> float:
+    """Composite score of a link, +inf when it is missing or unsampled.
+
+    The one score every ranking reads, so such links rank last everywhere.
+    """
+    return nlm.score(a, b) if nlm.has_link(a, b) else math.inf

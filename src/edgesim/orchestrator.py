@@ -4,7 +4,8 @@ Two placement policies are provided: the min-latency rule (healthy node
 with the best composite link score to the requesting device) and the
 weighted rule combining normalized CPU, accelerator, and network-latency
 fitness. Victim selection on an overloaded node takes the instance with
-the highest latest latency. All functions here are pure over snapshots;
+the highest latest latency. Every ranking takes the lowest (key, id), so
+ties go to the smaller id. All functions here are pure over snapshots;
 the simulation engine owns the mutation and scheduling around them.
 """
 
@@ -13,14 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .device_model import NodeRuntime, predict_components
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm
+from .net_model import Nlm, link_score
 from .profiler_health import CRITICAL, ProfilerState
 
-DEFAULT_COOL_DOWN_S = 5.0
 DEFAULT_HANDOVER_OVERHEAD_MS = 50.0
 
 POLICY_MIN_LATENCY = "min-latency"
@@ -99,22 +100,24 @@ def _eligible(statuses: dict[str, NodeStatus], exclude: tuple[str, ...] = ()) ->
     )
 
 
+def _lowest(candidates: Iterable[str], key: Callable[[str], float]) -> str | None:
+    """The candidate with the lowest (key, id), so ties take the smaller
+    id; None when there is no candidate."""
+    return min(candidates, key=lambda c: (key(c), c), default=None)
+
+
 def assign_node(statuses: dict[str, NodeStatus], end_device_id: str, nlm: Nlm) -> str:
     """Healthy, reachable node with the lowest link score to the device.
 
     Ties break lexicographically by node id. Links with no samples yet
     rank last (score +inf) but remain eligible.
     """
-    candidates = _eligible(statuses)
-    if not candidates:
+    chosen = _lowest(_eligible(statuses), lambda n: link_score(nlm, n, end_device_id))
+    if chosen is None:
         raise AssignmentUnavailableError(
             f"no healthy reachable node available for device {end_device_id!r}"
         )
-    return min(candidates, key=lambda n: (_score(nlm, n, end_device_id), n))
-
-
-def _score(nlm: Nlm, a: str, b: str) -> float:
-    return nlm.score(a, b) if nlm.has_link(a, b) else math.inf
+    return chosen
 
 
 def select_offload_target(
@@ -131,25 +134,16 @@ def select_offload_target(
     stream, the second the metadata handover. Returns None when no
     healthy node remains.
     """
-    candidates = _eligible(statuses, exclude=(source_node, *exclude))
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda n: (_score(nlm, n, end_device_id) + _score(nlm, n, source_node), n),
+    return _lowest(
+        _eligible(statuses, exclude=(source_node, *exclude)),
+        lambda n: link_score(nlm, n, end_device_id) + link_score(nlm, n, source_node),
     )
 
 
 def pick_victim(profiler: ProfilerState) -> str | None:
     """Instance with the highest latest latency; ties take the smaller id."""
-    best: tuple[float, str] | None = None
-    for task_id in profiler.task_ids():
-        latest = profiler.latest(task_id)
-        if latest is None:
-            continue
-        if best is None or latest > best[0] or (latest == best[0] and task_id < best[1]):
-            best = (latest, task_id)
-    return best[1] if best else None
+    latest = {tid: profiler.latest(tid) for tid in profiler.task_ids()}
+    return _lowest((tid for tid, ms in latest.items() if ms is not None), lambda t: -latest[t])
 
 
 def node_weights(
@@ -174,7 +168,7 @@ def node_weights(
     for node_id in candidates:
         node = nodes[node_id]
         cpu_ms, accel_ms = predict_components(node.profile, frame_size, node.n_instances + 1)
-        score = max(_score(nlm, node_id, end_device_id), 1e-9)
+        score = max(link_score(nlm, node_id, end_device_id), 1e-9)
         raw[node_id] = (1.0 / cpu_ms, 1.0 / accel_ms, 0.0 if math.isinf(score) else 1.0 / score)
     maxima = [max(r[i] for r in raw.values()) for i in range(3)]
     out: dict[str, NodeWeight] = {}
@@ -203,7 +197,7 @@ def assign_weighted(
             f"no healthy reachable node available for device {end_device_id!r}"
         )
     weights = node_weights(nodes, candidates, frame_size, end_device_id, nlm, coeffs)
-    return min(candidates, key=lambda n: (-weights[n].w_combined, n))
+    return _lowest(candidates, lambda n: -weights[n].w_combined)
 
 
 def migration_cost_ms(

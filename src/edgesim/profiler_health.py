@@ -23,17 +23,18 @@ DEFAULT_CRITICAL_FRACTION = 0.90
 
 def classify(
     latency_ms: float,
-    qos_ms: float,
+    budget_ms: float,
     warn_fraction: float = DEFAULT_WARN_FRACTION,
     critical_fraction: float = DEFAULT_CRITICAL_FRACTION,
 ) -> str:
     """Map a latency against its budget: pass below 75% of it, critical
-    above 90%, warning in between (boundaries included in warning)."""
-    if qos_ms <= 0:
-        raise ConfigurationError(f"qos must be > 0, got {qos_ms}")
-    if latency_ms < warn_fraction * qos_ms:
+    above 90%, warning in between (boundaries included in warning). The
+    budget is a task's QoS or, for a link, its latency budget."""
+    if budget_ms <= 0:
+        raise ConfigurationError(f"budget must be > 0, got {budget_ms}")
+    if latency_ms < warn_fraction * budget_ms:
         return PASS
-    if latency_ms > critical_fraction * qos_ms:
+    if latency_ms > critical_fraction * budget_ms:
         return CRITICAL
     return WARNING
 
@@ -70,32 +71,26 @@ class ProfilerState:
     def forget_task(self, task_id: str) -> None:
         self._tasks.pop(task_id, None)
 
-    def record_inference(self, task_id: str, latency_ms: float, now_s: float) -> None:
+    def _stats(self, task_id: str) -> TaskStats:
         try:
-            self._tasks[task_id].samples.append(latency_ms)
+            return self._tasks[task_id]
         except KeyError:
             raise RegistrationError(f"task {task_id!r} was never registered") from None
+
+    def record_inference(self, task_id: str, latency_ms: float, now_s: float) -> None:
+        self._stats(task_id).samples.append(latency_ms)
 
     def task_ids(self) -> list[str]:
         return sorted(self._tasks)
 
     def latest(self, task_id: str) -> float | None:
-        try:
-            return self._tasks[task_id].latest
-        except KeyError:
-            raise RegistrationError(f"task {task_id!r} was never registered") from None
+        return self._stats(task_id).latest
 
     def qos(self, task_id: str) -> float:
-        try:
-            return self._tasks[task_id].qos_ms
-        except KeyError:
-            raise RegistrationError(f"task {task_id!r} was never registered") from None
+        return self._stats(task_id).qos_ms
 
     def samples(self, task_id: str) -> list[float]:
-        try:
-            return list(self._tasks[task_id].samples)
-        except KeyError:
-            raise RegistrationError(f"task {task_id!r} was never registered") from None
+        return list(self._stats(task_id).samples)
 
     def avg_inf_lat(self) -> float | None:
         """Mean of the latest latency across instances that have reported."""

@@ -24,7 +24,13 @@ from .net_model import (
     EmaWeights,
     StableParams,
 )
-from .orchestrator import POLICIES, POLICY_MIN_LATENCY, AllocationWeights
+from .orchestrator import (
+    DEFAULT_HANDOVER_OVERHEAD_MS,
+    POLICIES,
+    POLICY_MIN_LATENCY,
+    AllocationWeights,
+)
+from .profiler_health import DEFAULT_CRITICAL_FRACTION, DEFAULT_WARN_FRACTION
 
 _SERVICE_RE = re.compile(r"^[a-z0-9-]+$")
 
@@ -100,10 +106,10 @@ class NetworkConfig:
 class OrchestratorConfig:
     policy: str = POLICY_MIN_LATENCY
     allocation_weights: AllocationWeights = field(default_factory=AllocationWeights)
-    warn_fraction: float = 0.75
-    critical_fraction: float = 0.90
+    warn_fraction: float = DEFAULT_WARN_FRACTION
+    critical_fraction: float = DEFAULT_CRITICAL_FRACTION
     cool_down_s: float = 5.0
-    handover_overhead_ms: float = 50.0
+    handover_overhead_ms: float = DEFAULT_HANDOVER_OVERHEAD_MS
     offloading_enabled: bool = True
 
     def validate(self) -> None:

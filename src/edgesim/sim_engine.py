@@ -417,23 +417,9 @@ class Simulation:
         """Session establishment: resolve the service, pick a node, admit."""
         statuses = self._statuses()
         reachable = {name: s.reachable for name, s in statuses.items()}
-        candidates = discovery.resolve(
-            self.registry, ts.task.service, ts.device.id, self.nlm, reachable, self.now
-        )
-        restricted = {n: statuses[n] for n in candidates}
-        try:
-            if self.policy == POLICY_WEIGHTED:
-                chosen = assign_weighted(
-                    self.nodes,
-                    restricted,
-                    ts.task.frame_size_px,
-                    ts.device.id,
-                    self.nlm,
-                    self.scenario.orchestrator.allocation_weights,
-                )
-            else:
-                chosen = assign_node(restricted, ts.device.id, self.nlm)
-        except AssignmentUnavailableError:
+        candidates = discovery.resolve(self.registry, ts.task.service, ts.device.id, self.nlm, reachable)
+        chosen = self._place(ts, {n: statuses[n] for n in candidates})
+        if chosen is None:
             return None
         admit_task(self.nodes[chosen], ts.task)
         self.profilers[chosen].register_task(ts.task.task_id, ts.task.qos_ms)
@@ -463,7 +449,6 @@ class Simulation:
         host = ts.task.host_node
         if not self._dispatchable(host):
             # engine invariant: never dispatch to an unavailable node
-            self.counters["frames_dispatched_to_unavailable"] += 1
             raise AssertionError(f"dispatch of frame {frame.frame_id} to unavailable node {host!r}")
         frame.dispatched_at = self.now
         frame.dispatched_to = host
@@ -568,7 +553,7 @@ class Simulation:
             self.health[name] = merge_since(prev, new, self.now)
             healthy = new.system_state != CRITICAL
             for service in self.services:
-                self.registry.set_health(service, name, healthy, self.now)
+                self.registry.set_health(service, name, healthy)
 
         if self.offloading:
             self._manage_quarantine()
@@ -637,12 +622,18 @@ class Simulation:
                 ):
                     self._migrate_or_count(self.tasks[tid], name, TRIGGER_APP)
 
-    def _select_target(
-        self, ts: _TaskState, source: str, exclude: tuple[str, ...] = ()
+    def _place(
+        self,
+        ts: _TaskState,
+        statuses: dict[str, NodeStatus],
+        source: str | None = None,
+        exclude: tuple[str, ...] = (),
     ) -> str | None:
-        statuses = self._statuses()
-        if self.policy == POLICY_WEIGHTED:
-            try:
+        """The node the policy picks for a task, or None when none qualifies:
+        an initial placement, or with ``source`` an offload target away
+        from it."""
+        try:
+            if self.policy == POLICY_WEIGHTED:
                 return assign_weighted(
                     self.nodes,
                     statuses,
@@ -650,14 +641,16 @@ class Simulation:
                     ts.device.id,
                     self.nlm,
                     self.scenario.orchestrator.allocation_weights,
-                    exclude=(source, *exclude),
+                    exclude=exclude if source is None else (source, *exclude),
                 )
-            except AssignmentUnavailableError:
-                return None
-        return select_offload_target(statuses, ts.device.id, source, self.nlm, exclude=exclude)
+            if source is None:
+                return assign_node(statuses, ts.device.id, self.nlm)
+            return select_offload_target(statuses, ts.device.id, source, self.nlm, exclude=exclude)
+        except AssignmentUnavailableError:
+            return None
 
     def _migrate_or_count(self, ts: _TaskState, source: str, trigger: str) -> None:
-        target = self._select_target(ts, source)
+        target = self._place(ts, self._statuses(), source)
         if target is None:
             self.counters["failed_offloads"] += 1
             self._log(
@@ -723,7 +716,7 @@ class Simulation:
             return
         if not record.retried:
             record.retried = True
-            fallback = self._select_target(ts, record.from_node, exclude=(target,))
+            fallback = self._place(ts, self._statuses(), record.from_node, exclude=(target,))
             if fallback is not None:
                 extra = migration_cost_ms(
                     self.nlm,
@@ -769,15 +762,9 @@ class Simulation:
             frame.arrived_at = self.now
 
     def _on_fault(self, name: str, action: str) -> None:
-        node = self.nodes[name]
-        if action == "start":
-            node.faulted = True
-            self.node_events.append({"t": self.now, "node": name, "event": "fault-start"})
-            self._log("fault", name, "fault-start", {"node": name, "t": self.now})
-        else:
-            node.faulted = False
-            self.node_events.append({"t": self.now, "node": name, "event": "fault-end"})
-            self._log("fault", name, "fault-end", {"node": name, "t": self.now})
+        self.nodes[name].faulted = action == "start"
+        self.node_events.append({"t": self.now, "node": name, "event": f"fault-{action}"})
+        self._log("fault", name, f"fault-{action}", {"node": name, "t": self.now})
 
     # -- deferred frames -------------------------------------------------
 
@@ -819,14 +806,25 @@ class Simulation:
     def _record_instances(self, name: str) -> None:
         self.instance_series[name].append((self.now, self.nodes[name].n_instances))
 
+    def _frames_in_flight(self) -> int:
+        """Frames neither completed nor failed, counted where they sit: in a
+        queued arrival or completion event, the deferred slot, a task queue
+        or an instance's busy slot."""
+        ids = {
+            event.payload["frame"].frame_id
+            for _, _, event in self._queue
+            if event.kind in (EVENT_FRAME_ARRIVAL, EVENT_PROCESSING_COMPLETE)
+        }
+        ids.update(frame.frame_id for frame in self.pending.values())
+        for ts in self.tasks.values():
+            ids.update(frame.frame_id for frame in ts.queue)
+            if ts.busy_frame is not None:
+                ids.add(ts.busy_frame.frame_id)
+        return len(ids)
+
     def _report(self) -> MetricsReport:
         frames = sorted(self.records, key=lambda r: (r.completed_at, r.frame_id))
-        in_flight = (
-            self.counters["frames_generated"]
-            - self.counters["frames_completed"]
-            - self.counters["assignment_failures"]
-        )
-        self.counters["frames_in_flight_at_end"] = in_flight
+        self.counters["frames_in_flight_at_end"] = self._frames_in_flight()
         breakdown_map: dict[tuple[str, int, int], dict] = {}
         for record in frames:
             key = (record.node, record.frame_size_px, record.n_instances)
@@ -872,7 +870,7 @@ class Simulation:
             node_events=self.node_events,
             decision_log=self.decision_log,
             nlm_snapshot=self.nlm.snapshot(),
-            registry_dump=self.registry.dump(self.now),
+            registry_dump=self.registry.dump(),
             gossip_kbps_per_node=discovery.gossip_bandwidth(gossip.message_bytes, gossip.interval_s),
         )
 

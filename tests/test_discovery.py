@@ -77,7 +77,7 @@ class TestResolve:
 
     def test_critical_node_filtered(self):
         registry = build_registry()
-        registry.set_health("objd", "edge-b", False, 0.0)
+        registry.set_health("objd", "edge-b", False)
         nlm = build_nlm({"edge-a": 12.0, "edge-b": 10.0, "edge-c": 11.0})
         reachable = {n: True for n in ("edge-a", "edge-b", "edge-c")}
         assert resolve(registry, "objd", "rpi-1", nlm, reachable) == ["edge-c", "edge-a"]
@@ -91,7 +91,7 @@ class TestResolve:
     def test_all_unhealthy_resolves_empty(self):
         registry = build_registry()
         for node in ("edge-a", "edge-b", "edge-c"):
-            registry.set_health("objd", node, False, 0.0)
+            registry.set_health("objd", node, False)
         nlm = build_nlm({"edge-a": 12.0, "edge-b": 10.0, "edge-c": 11.0})
         reachable = {n: True for n in ("edge-a", "edge-b", "edge-c")}
         assert resolve(registry, "objd", "rpi-1", nlm, reachable) == []
@@ -114,12 +114,13 @@ class TestResolve:
         runs = {tuple(resolve(registry, "objd", "rpi-1", nlm, reachable)) for _ in range(5)}
         assert len(runs) == 1
 
-    def test_propagation_delay_defers_visibility(self):
-        registry = ServiceRegistry(propagation_delay_s=2.0)
+    def test_health_change_is_visible_to_the_next_query(self):
+        registry = ServiceRegistry()
         registry.register("objd", "edge-a")
-        registry.set_health("objd", "edge-a", False, 10.0)
-        assert registry.nodes_for("objd", 11.0) == [("edge-a", "healthy")]
-        assert registry.nodes_for("objd", 12.0) == [("edge-a", "unhealthy")]
+        registry.set_health("objd", "edge-a", False)
+        assert registry.nodes_for("objd") == [("edge-a", "unhealthy")]
+        registry.set_health("objd", "edge-a", True)
+        assert registry.dump() == [{"service": "objd", "node": "edge-a", "status": "healthy"}]
 
 
 class TestGossipBandwidth:

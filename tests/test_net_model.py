@@ -7,20 +7,18 @@ from hypothesis import strategies as st
 
 from edgesim.errors import ConfigurationError, NotReadyError, TimeRegressionError
 from edgesim.net_model import (
-    CRITICAL,
-    PASS,
-    WARNING,
     EmaState,
     EmaWeights,
     LinkState,
     Nlm,
     StableParams,
-    classify_link,
     composite_score,
     ema_update,
+    link_score,
     sample_stable,
     sample_stable_many,
 )
+from edgesim.profiler_health import CRITICAL, PASS, classify
 
 NO_FLOOR = -math.inf
 
@@ -194,28 +192,6 @@ class TestEmaWeights:
             EmaWeights(0.2, 0.3, 0.4).validate()
 
 
-class TestClassifyLink:
-    def test_examples(self):
-        assert classify_link(10.0, 100.0) == PASS
-        assert classify_link(80.0, 100.0) == WARNING
-        assert classify_link(95.0, 100.0) == CRITICAL
-
-    def test_boundaries_are_warning(self):
-        assert classify_link(75.0, 100.0) == WARNING
-        assert classify_link(90.0, 100.0) == WARNING
-
-    def test_bad_budget(self):
-        with pytest.raises(ConfigurationError):
-            classify_link(10.0, 0.0)
-
-    @given(s1=st.floats(0, 500), s2=st.floats(0, 500))
-    @settings(max_examples=200)
-    def test_monotone_non_improving(self, s1, s2):
-        order = {PASS: 0, WARNING: 1, CRITICAL: 2}
-        lo, hi = min(s1, s2), max(s1, s2)
-        assert order[classify_link(lo, 100.0)] <= order[classify_link(hi, 100.0)]
-
-
 class TestNlm:
     def _nlm(self):
         nlm = Nlm()
@@ -237,20 +213,41 @@ class TestNlm:
     def test_status_consistent_with_classifier(self):
         nlm = self._nlm()
         nlm.observe("edge-a", "edge-b", 10.0, 0.0)
-        assert nlm.status("edge-a", "edge-b") == classify_link(
-            nlm.score("edge-a", "edge-b"), 50.0
-        )
+        assert nlm.status("edge-a", "edge-b") == classify(nlm.score("edge-a", "edge-b"), 50.0)
         # a persistent shift (many horizons elapsed) converges all EMAs
         nlm.observe("edge-a", "edge-b", 500.0, 100_000.0)
         assert nlm.score("edge-a", "edge-b") == pytest.approx(500.0)
         assert nlm.status("edge-a", "edge-b") == CRITICAL
-        assert nlm.status("edge-a", "edge-b") == classify_link(
-            nlm.score("edge-a", "edge-b"), 50.0
-        )
+        assert nlm.status("edge-a", "edge-b") == classify(nlm.score("edge-a", "edge-b"), 50.0)
 
     def test_uninitialized_score_is_inf(self):
         nlm = self._nlm()
         assert math.isinf(nlm.score("edge-a", "edge-b"))
+
+    def test_never_observed_link_is_pass(self):
+        nlm = self._nlm()
+        assert nlm.status("edge-a", "edge-b") == PASS
+        assert nlm.snapshot()["edge-a|edge-b"] == {
+            "score_ms": None,
+            "latest_ms": None,
+            "status": PASS,
+            "budget_ms": 50.0,
+        }
+
+    def test_snapshot_status_classifies_the_score_against_the_budget(self):
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), budget_ms=20.0)
+        nlm.observe("edge-a", "edge-b", 16.0, 0.0)  # 80% of the budget
+        entry = nlm.snapshot()["edge-a|edge-b"]
+        assert (entry["score_ms"], entry["status"]) == (16.0, "warning")
+        assert nlm.status("edge-b", "edge-a") == "warning"
+
+    def test_link_score_ranks_missing_and_unsampled_links_last(self):
+        nlm = self._nlm()
+        assert link_score(nlm, "edge-a", "nope") == math.inf
+        assert link_score(nlm, "edge-a", "edge-b") == math.inf
+        nlm.observe("edge-a", "edge-b", 12.0, 0.0)
+        assert link_score(nlm, "edge-b", "edge-a") == pytest.approx(12.0)
 
     def test_self_link_rejected(self):
         nlm = Nlm()

@@ -29,13 +29,28 @@ class TestClassify:
         assert classify(120.0, 150.0) == WARNING
         assert classify(140.0, 150.0) == CRITICAL
 
+    def test_examples_at_budget_100(self):
+        assert classify(10.0, 100.0) == PASS
+        assert classify(80.0, 100.0) == WARNING
+        assert classify(95.0, 100.0) == CRITICAL
+
     def test_boundaries_map_to_warning(self):
         assert classify(112.5, 150.0) == WARNING
         assert classify(135.0, 150.0) == WARNING
+        assert classify(75.0, 100.0) == WARNING
+        assert classify(90.0, 100.0) == WARNING
 
     def test_bad_qos(self):
-        with pytest.raises(ConfigurationError):
-            classify(10.0, 0.0)
+        for budget in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="budget must be > 0"):
+                classify(10.0, budget)
+
+    @given(s1=st.floats(0, 500), s2=st.floats(0, 500))
+    @settings(max_examples=200)
+    def test_monotone_non_improving(self, s1, s2):
+        order = {PASS: 0, WARNING: 1, CRITICAL: 2}
+        lo, hi = min(s1, s2), max(s1, s2)
+        assert order[classify(lo, 100.0)] <= order[classify(hi, 100.0)]
 
     @given(latency=st.floats(0, 1e6), qos=st.floats(1e-3, 1e6), k=st.floats(1e-3, 1e3))
     @settings(max_examples=300)

@@ -10,7 +10,7 @@ from edgesim.net_model import StableParams
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import Simulation, run, schedule_health_epochs, substream
 
-from engine_checks import check_report, downtime_windows
+from engine_checks import check_conservation, check_report, downtime_windows
 
 
 def mini_profile(name, cpu=10.0, accel=20.0):
@@ -108,6 +108,37 @@ class TestArrivalCounting:
         report = run(presets.overload_scenario(), seed=1)
         keys = [(f.completed_at, f.frame_id) for f in report.frames]
         assert keys == sorted(keys)
+
+
+class TestConservation:
+    """Frames in flight at the end are counted from engine state, so a
+    frame the engine loses shows up as a conservation failure."""
+
+    def _backlogged(self):
+        # one unmanaged node fed faster than it serves: its queue only grows
+        scenario = mini_scenario(n_nodes=1, fps=50.0, duration=3.0)
+        scenario.orchestrator.offloading_enabled = False
+        return Simulation(scenario)
+
+    def test_backlog_is_counted_in_flight(self):
+        sim = self._backlogged()
+        report = sim.run()
+        check_conservation(report)
+        queued = sum(len(ts.queue) for ts in sim.tasks.values())
+        assert queued > 0
+        assert report.counters["frames_in_flight_at_end"] >= queued
+
+    def test_dropped_queued_frame_breaks_conservation(self):
+        sim = self._backlogged()
+        report_now = sim._report
+
+        def drop_one_then_report():
+            next(ts for ts in sim.tasks.values() if ts.queue).queue.pop()
+            return report_now()
+
+        sim._report = drop_one_then_report
+        with pytest.raises(AssertionError):
+            check_conservation(sim.run())
 
 
 class TestHealthEpochs:
