@@ -18,7 +18,7 @@ from edgesim.net_model import (
     sample_stable,
     sample_stable_many,
 )
-from edgesim.profiler_health import CRITICAL, PASS, classify
+from edgesim.profiler_health import CRITICAL, PASS, WARNING, classify
 
 NO_FLOOR = -math.inf
 
@@ -190,6 +190,25 @@ class TestEmaWeights:
     def test_sum_must_be_one(self):
         with pytest.raises(ConfigurationError, match="sum to 1"):
             EmaWeights(0.2, 0.3, 0.4).validate()
+
+
+class TestClassifyLink:
+    """A link's status is its score classified against the link's budget."""
+
+    @staticmethod
+    def _status_at(score_ms, budget_ms):
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), budget_ms=budget_ms)
+        nlm.observe("edge-a", "edge-b", score_ms, 0.0)
+        return nlm.status("edge-a", "edge-b")
+
+    def test_boundaries_are_warning(self):
+        assert self._status_at(75.0, 100.0) == WARNING
+        assert self._status_at(90.0, 100.0) == WARNING
+
+    def test_bad_budget(self):
+        with pytest.raises(ConfigurationError, match="budget must be > 0"):
+            self._status_at(10.0, 0.0)
 
 
 class TestNlm:
