@@ -27,6 +27,10 @@ DEFAULT_LINK_BUDGET_MS = 50.0
 #: to this cap, so a link drawn once (the setup probe) computes one value.
 _BLOCK_CAP = 64
 
+#: Most links whose buffers ``Nlm.probe_all`` refills in one transform; it
+#: bounds the temporaries at 512 * _BLOCK_CAP values.
+_REFILL_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class StableParams:
@@ -96,7 +100,12 @@ def sample_stable_many(
     than resampling) keeps the draw count deterministic.
     """
     params.validate()
-    draws = rng.random((n, 2))
+    return _transform(params, rng.random((n, 2)), floor_ms)
+
+
+def _transform(params: StableParams, draws: np.ndarray, floor_ms: float) -> np.ndarray:
+    """Latencies from rows of (u, w) uniform pairs; elementwise, so rows
+    from different streams may share one call."""
     u = math.pi * (draws[:, 0] - 0.5)
     # tiny floor keeps the w=0 corner (probability 2^-53) off the division path
     w = np.maximum(-np.log(1.0 - draws[:, 1]), 1e-300)
@@ -129,6 +138,22 @@ class EmaState:
     initialized: bool = False
 
 
+def _decay(dt_s: float, horizon_s: float) -> float:
+    """Share of the old EMA kept after ``dt_s`` seconds on one horizon."""
+    return math.exp(-dt_s / horizon_s)
+
+
+def _fold(ema, sample, decay):
+    """``sample + (ema - sample) * decay``: one IEEE subtract, multiply and
+    add per value, so Python floats and numpy arrays give the same bits."""
+    return sample + (ema - sample) * decay
+
+
+def _check_order(now_s: float, last_s: float) -> None:
+    if now_s < last_s:
+        raise TimeRegressionError(f"update at t={now_s} precedes last update t={last_s}")
+
+
 def ema_update(state: EmaState, sample_ms: float, now_s: float) -> EmaState:
     """Fold one latency sample into the EMAs using continuous-time decay.
 
@@ -138,14 +163,12 @@ def ema_update(state: EmaState, sample_ms: float, now_s: float) -> EmaState:
     """
     if not state.initialized:
         return EmaState(sample_ms, sample_ms, sample_ms, now_s, True)
-    if now_s < state.last_update:
-        raise TimeRegressionError(
-            f"update at t={now_s} precedes last update t={state.last_update}"
-        )
+    _check_order(now_s, state.last_update)
     dt = now_s - state.last_update
-    emas = []
-    for ema, h in zip((state.ema_1m, state.ema_5m, state.ema_15m), EMA_HORIZONS_S):
-        emas.append(sample_ms + (ema - sample_ms) * math.exp(-dt / h))
+    emas = [
+        _fold(ema, sample_ms, _decay(dt, h))
+        for ema, h in zip((state.ema_1m, state.ema_5m, state.ema_15m), EMA_HORIZONS_S)
+    ]
     return EmaState(emas[0], emas[1], emas[2], now_s, True)
 
 
@@ -182,20 +205,19 @@ def composite_score(state: EmaState, weights: EmaWeights) -> float:
 
 @dataclass(slots=True)
 class LinkState:
-    """Mutable bookkeeping for one (bidirectional) link.
+    """A link's constants, its generator and its draw buffer.
 
     ``rng`` is the link's own generator. ``draw()`` reads latencies from a
     block buffer that ``sample_stable_many`` refills on demand, with block
     sizes doubling from 1 up to ``_BLOCK_CAP``. Because a block equals the
     same number of successive scalar draws, the values drawn do not depend
-    on the block sizes; the buffer only saves per-call overhead.
+    on the block sizes; the buffer only saves per-call overhead. The EMAs
+    live in the ``Nlm`` link table.
     """
 
     params: StableParams
     floor_ms: float = DEFAULT_FLOOR_MS
     budget_ms: float = DEFAULT_LINK_BUDGET_MS
-    ema: EmaState = field(default_factory=EmaState)
-    latest_ms: float | None = None
     rng: np.random.Generator | None = None
     _buffer: array = field(default_factory=lambda: array("d"), init=False, repr=False)
     _cursor: int = field(default=0, init=False, repr=False)
@@ -204,30 +226,64 @@ class LinkState:
     def draw(self) -> float:
         """Next latency in ms from this link's stream."""
         if self._cursor == len(self._buffer):
-            if self.rng is None:
-                raise ConfigurationError("link has no random generator to draw from")
-            block = sample_stable_many(self.params, self.rng, self._block, self.floor_ms)
-            self._buffer = array("d", block.tobytes())
-            self._cursor = 0
-            self._block = min(2 * self._block, _BLOCK_CAP)
+            self._load(sample_stable_many(self.params, self._generator(), self._block, self.floor_ms))
         value = self._buffer[self._cursor]
         self._cursor += 1
         return value
+
+    def _generator(self) -> np.random.Generator:
+        if self.rng is None:
+            raise ConfigurationError("link has no random generator to draw from")
+        return self.rng
+
+    def _load(self, block: np.ndarray) -> None:
+        """Make ``block`` the buffer and grow the next block, up to the cap."""
+        self._buffer = array("d", block.tobytes())
+        self._cursor = 0
+        self._block = min(2 * self._block, _BLOCK_CAP)
+
+
+def _refill(links: list[LinkState]) -> None:
+    """Refill the buffers of ``links`` as ``draw()`` would, one transform
+    per (params, floor). Each link draws its own uniforms from its own
+    stream, and the transform is elementwise, so every value equals the
+    one ``draw()`` would compute."""
+    groups: dict[tuple[StableParams, float], list[LinkState]] = {}
+    for link in links:
+        groups.setdefault((link.params, link.floor_ms), []).append(link)
+    for (params, floor_ms), members in groups.items():
+        params.validate()
+        blocks = [link._generator().random((link._block, 2)) for link in members]
+        values = _transform(params, np.concatenate(blocks), floor_ms)
+        start = 0
+        for link, block in zip(members, blocks):
+            link._load(values[start : start + len(block)])
+            start += len(block)
 
 
 class Nlm:
     """Network latency matrix over all edge<->edge and edge<->device pairs.
 
-    Both orders of a pair are registered and alias the same underlying
-    state, so coverage is symmetric by construction. Owned by the event
-    loop; queries are pure reads.
+    Links are numbered in the order they are added, and both orders of a
+    pair map to one number, so coverage is symmetric by construction. The
+    EMAs, last update time and latest sample of every link are columns
+    indexed by that number: ``array`` columns, so a single link is read
+    and written as cheaply as a Python float, which ``probe_all`` views as
+    numpy arrays to fold a whole epoch at once. Owned by the event loop;
+    queries are pure reads.
     """
 
     def __init__(self, weights: EmaWeights | None = None):
         self.weights = weights or EmaWeights()
         self.weights.validate()
-        self._links: dict[tuple[str, str], LinkState] = {}
+        self._number: dict[tuple[str, str], int] = {}
+        self._links: list[LinkState] = []
         self._pairs: list[tuple[str, str]] | None = None
+        self._emas = tuple(array("d") for _ in EMA_HORIZONS_S)
+        self._last_update = array("d")
+        self._latest_ms = array("d")
+        self._initialized = array("B")
+        self._columns = (*self._emas, self._last_update, self._latest_ms, self._initialized)
 
     def add_link(
         self,
@@ -238,23 +294,37 @@ class Nlm:
         budget_ms: float = DEFAULT_LINK_BUDGET_MS,
         rng: np.random.Generator | None = None,
     ) -> None:
-        """Register a link; ``rng`` is the stream ``sample_and_observe`` draws from."""
+        """Register a link; ``rng`` is the stream its draws come from.
+
+        Registering a pair again replaces its link and clears its row.
+        """
         if a == b:
             raise ConfigurationError(f"link endpoints must differ, got {a!r} twice")
         params.validate()
         state = LinkState(params=params, floor_ms=floor_ms, budget_ms=budget_ms, rng=rng)
-        self._links[(a, b)] = state
-        self._links[(b, a)] = state
+        i = self._number.get((a, b))
+        if i is None:
+            self._number[(a, b)] = self._number[(b, a)] = len(self._links)
+            self._links.append(state)
+            for column in self._columns:
+                column.append(0)
+        else:
+            self._links[i] = state
+            for column in self._columns:
+                column[i] = 0
         self._pairs = None
 
     def has_link(self, a: str, b: str) -> bool:
-        return (a, b) in self._links
+        return (a, b) in self._number
 
-    def link(self, a: str, b: str) -> LinkState:
+    def _index(self, a: str, b: str) -> int:
         try:
-            return self._links[(a, b)]
+            return self._number[(a, b)]
         except KeyError:
             raise ConfigurationError(f"no link registered between {a!r} and {b!r}") from None
+
+    def link(self, a: str, b: str) -> LinkState:
+        return self._links[self._index(a, b)]
 
     def pairs(self) -> list[tuple[str, str]]:
         """Canonical (sorted) endpoint pairs, one per physical link.
@@ -263,14 +333,24 @@ class Nlm:
         callers, who must not mutate it.
         """
         if self._pairs is None:
-            self._pairs = sorted(k for k in self._links if k[0] < k[1])
+            self._pairs = sorted(k for k in self._number if k[0] < k[1])
         return self._pairs
 
     def observe(self, a: str, b: str, sample_ms: float, now_s: float) -> None:
-        """Record a measured latency on a link."""
-        state = self.link(a, b)
-        state.ema = ema_update(state.ema, sample_ms, now_s)
-        state.latest_ms = sample_ms
+        """Record a measured latency on a link, folded in place into its row."""
+        i = self._index(a, b)
+        if self._initialized[i]:
+            last = self._last_update[i]
+            _check_order(now_s, last)
+            dt = now_s - last
+            for column, h in zip(self._emas, EMA_HORIZONS_S):
+                column[i] = _fold(column[i], sample_ms, _decay(dt, h))
+        else:
+            for column in self._emas:
+                column[i] = sample_ms
+            self._initialized[i] = True
+        self._last_update[i] = now_s
+        self._latest_ms[i] = sample_ms
 
     def sample_and_observe(self, a: str, b: str, now_s: float) -> float:
         """Draw one latency from the link's stream and fold it into the EMAs."""
@@ -278,29 +358,92 @@ class Nlm:
         self.observe(a, b, sample, now_s)
         return sample
 
+    def probe_all(self, now_s: float) -> None:
+        """Draw one latency on every link and fold it in, in one pass.
+
+        Each link gets the values ``sample_and_observe`` would give it:
+        exhausted buffers are refilled together in chunks of at most
+        ``_REFILL_CHUNK`` links, ``exp`` is ``math.exp`` once per distinct
+        elapsed time and horizon, and the fold is the same IEEE arithmetic
+        on arrays. Raises ``TimeRegressionError``, changing nothing, if a
+        link was updated after ``now_s``.
+        """
+        _check_order(now_s, self._last_sampled())
+        samples = np.array(self._next_draws(), dtype=float)
+        # numpy views of the columns; nothing below raises, so no view
+        # outlives the call to block a later add_link from growing them
+        initialized = np.frombuffer(self._initialized, dtype=bool)
+        last = np.frombuffer(self._last_update)
+        distinct, rows = np.unique(now_s - last, return_inverse=True)
+        for column, h in zip(self._emas, EMA_HORIZONS_S):
+            emas = np.frombuffer(column)
+            decay = np.array([_decay(dt, h) for dt in distinct.tolist()])[rows]
+            # a link never sampled before takes the sample as every EMA
+            emas[:] = np.where(initialized, _fold(emas, samples, decay), samples)
+        last[:] = now_s
+        np.frombuffer(self._latest_ms)[:] = samples
+        initialized[:] = True
+
+    def _last_sampled(self) -> float:
+        """The latest update time of any sampled link, -inf before any."""
+        last = np.frombuffer(self._last_update)
+        return last[np.frombuffer(self._initialized, dtype=bool)].max(initial=-math.inf).item()
+
+    def _next_draws(self) -> list[float]:
+        """Every link's next latency, in link-number order."""
+        values = []
+        empty = []
+        for i, link in enumerate(self._links):
+            if link._cursor == len(link._buffer):
+                empty.append(i)
+                values.append(0.0)
+            else:
+                values.append(link._buffer[link._cursor])
+                link._cursor += 1
+        for start in range(0, len(empty), _REFILL_CHUNK):
+            chunk = empty[start : start + _REFILL_CHUNK]
+            _refill([self._links[i] for i in chunk])
+            for i in chunk:
+                values[i] = self._links[i].draw()
+        return values
+
+    def ema(self, a: str, b: str) -> EmaState:
+        """The link's EMAs as a value."""
+        i = self._index(a, b)
+        return EmaState(
+            *(column[i] for column in self._emas),
+            self._last_update[i],
+            bool(self._initialized[i]),
+        )
+
+    def latest_ms(self, a: str, b: str) -> float | None:
+        """The link's most recent sample, None before the first."""
+        i = self._index(a, b)
+        return self._latest_ms[i] if self._initialized[i] else None
+
     def score(self, a: str, b: str) -> float:
         """Composite score of the link, or +inf while uninitialized."""
-        state = self.link(a, b)
-        if not state.ema.initialized:
-            return math.inf
-        return composite_score(state.ema, self.weights)
+        state = self.ema(a, b)
+        return composite_score(state, self.weights) if state.initialized else math.inf
 
     def status(self, a: str, b: str) -> str:
-        return self._view(self.link(a, b))["status"]
+        return self._view(a, b)["status"]
 
     def snapshot(self) -> dict[str, dict]:
         """Serializable view of every canonical link, sorted by endpoints."""
-        return {f"{a}|{b}": self._view(self._links[(a, b)]) for a, b in self.pairs()}
+        return {f"{a}|{b}": self._view(a, b) for a, b in self.pairs()}
 
-    def _view(self, state: LinkState) -> dict:
+    def _view(self, a: str, b: str) -> dict:
         """A link's score and its status, classified when read against the
         link's budget; pass before any sample."""
-        score = composite_score(state.ema, self.weights) if state.ema.initialized else None
+        latest_ms = self.latest_ms(a, b)  # None until the first sample
+        score = None if latest_ms is None else self.score(a, b)
+        budget_ms = self.link(a, b).budget_ms
         return {
             "score_ms": score,
-            "latest_ms": state.latest_ms,
-            "status": PASS if score is None else classify(score, state.budget_ms),
-            "budget_ms": state.budget_ms,
+            "latest_ms": latest_ms,
+            "status": PASS if score is None else classify(score, budget_ms),
+            "budget_ms": budget_ms,
         }
 
 

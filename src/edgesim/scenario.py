@@ -206,6 +206,16 @@ def validate(scenario: Scenario) -> list[str]:
         check(f"faults[{i}]", fault.validate)
         if fault.node_id not in names:
             errors.append(f"faults[{i}]: unknown node {fault.node_id!r}")
+        # a node is faulted or not, so its windows [at, at + duration) must
+        # not overlap; a zero-length window is empty and never does
+        for j, other in enumerate(scenario.faults[:i]):
+            if (
+                other.node_id == fault.node_id
+                and min(fault.duration_s, other.duration_s) > 0
+                and fault.at_s < other.at_s + other.duration_s
+                and other.at_s < fault.at_s + fault.duration_s
+            ):
+                errors.append(f"faults[{i}]: overlaps faults[{j}] on node {fault.node_id!r}")
     return errors
 
 

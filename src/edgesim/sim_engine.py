@@ -278,8 +278,7 @@ class Simulation:
                 self._add_link(name, device.id, net.edge_device)
 
         # prime every link with one probe so the matrix is total from t=0
-        for a, b in self.nlm.pairs():
-            self.nlm.sample_and_observe(a, b, 0.0)
+        self.nlm.probe_all(0.0)
 
         for device in sorted(scenario.end_devices, key=lambda d: d.id):
             task = InferenceTask(
@@ -490,12 +489,10 @@ class Simulation:
 
     def _on_processing_complete(self, frame: _Frame) -> None:
         ts = self.tasks[frame.task_id]
+        # a stray completion from before a migration leaves the instance
+        # serving at its new host
         if ts.busy_frame is frame:
             ts.busy_frame = None
-        elif ts.busy_frame is not None:
-            # stray completion from before a migration; the instance is
-            # already serving at the new host
-            pass
         outcome = frame.outcome
         frame.net_back_ms = self.nlm.sample_and_observe(frame.node, frame.end_device_id, self.now)
         queueing = frame.engine_wait_ms + frame.queue_node_ms
@@ -543,8 +540,7 @@ class Simulation:
     # -- health epochs and the offload loop -----------------------------
 
     def _on_health_epoch(self) -> None:
-        for a, b in self.nlm.pairs():
-            self.nlm.sample_and_observe(a, b, self.now)
+        self.nlm.probe_all(self.now)
 
         for name in sorted(self.nodes):
             new = evaluate_health(self.profilers[name], self.warn_fraction, self.critical_fraction)

@@ -38,20 +38,30 @@ def check_conservation(report: MetricsReport) -> None:
 
 
 def downtime_windows(report: MetricsReport) -> dict[str, list[tuple[float, float]]]:
-    """Per node, the half-open intervals in which it was unavailable."""
+    """Per node, the half-open intervals in which it was unavailable.
+
+    Opens and closes of one kind nest: a window runs from the open that
+    takes a node's depth from 0 to 1 until the close that takes it back
+    to 0, so an inner window's end does not end an outer one.
+    """
     windows: dict[str, list[tuple[float, float]]] = {}
-    open_events: dict[tuple[str, str], float] = {}
+    depth: dict[tuple[str, str], int] = {}
+    opened_at: dict[tuple[str, str], float] = {}
     pairing = {"quarantine": "release", "fault-start": "fault-end"}
     closers = {v: k for k, v in pairing.items()}
     for event in report.node_events:
         node, kind, t = event["node"], event["event"], event["t"]
         if kind in pairing:
-            open_events[(node, kind)] = t
-        elif kind in closers:
-            start = open_events.pop((node, closers[kind]), None)
-            if start is not None:
-                windows.setdefault(node, []).append((start, t))
-    for (node, _), start in open_events.items():
+            key = (node, kind)
+            if depth.get(key, 0) == 0:
+                opened_at[key] = t
+            depth[key] = depth.get(key, 0) + 1
+        elif kind in closers and depth.get((node, closers[kind]), 0) > 0:
+            key = (node, closers[kind])
+            depth[key] -= 1
+            if depth[key] == 0:
+                windows.setdefault(node, []).append((opened_at.pop(key), t))
+    for (node, _), start in opened_at.items():
         windows.setdefault(node, []).append((start, report.duration_s + 1.0))
     return windows
 

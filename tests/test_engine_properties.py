@@ -2,11 +2,13 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgesim import presets
 from edgesim.discovery import UNHEALTHY
+from edgesim.errors import ConfigurationError
 from edgesim.orchestrator import POLICIES
 from edgesim.profiler_health import CRITICAL
 from edgesim.scenario import EndDevice, FaultSpec, Scenario
@@ -18,7 +20,8 @@ from engine_checks import check_report
 @st.composite
 def small_scenarios(draw):
     """1-4 nodes cycling the preset boards, 1-4 streams, both policies,
-    offloading on or off, 0-2 faults, at most 20 s."""
+    offloading on or off, 0-3 faults (some overlapping on one node), at
+    most 20 s."""
     boards = presets.default_profiles()
     n_nodes = draw(st.integers(1, 4))
     scenario = Scenario()
@@ -47,14 +50,32 @@ def small_scenarios(draw):
             at_s=draw(st.floats(0.0, duration)),
             duration_s=draw(st.floats(0.0, duration)),
         )
-        for _ in range(draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(0, 3)))
     ]
     return scenario
+
+
+def overlapping_faults(faults) -> bool:
+    """Whether two non-empty fault windows on one node share an instant."""
+    windows: dict[str, list[tuple[float, float]]] = {}
+    for f in faults:
+        if f.duration_s > 0:
+            windows.setdefault(f.node_id, []).append((f.at_s, f.at_s + f.duration_s))
+    for spans in windows.values():
+        spans.sort()
+        if any(later[0] < earlier[1] for earlier, later in zip(spans, spans[1:])):
+            return True
+    return False
 
 
 @given(scenario=small_scenarios())
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_engine_invariants_hold_on_random_scenarios(scenario):
+    if overlapping_faults(scenario.faults):
+        # one fault flag per node cannot represent nested windows
+        with pytest.raises(ConfigurationError, match=r"faults\[\d\]: overlaps faults\[\d\]"):
+            Simulation(scenario)
+        return
     sim = Simulation(scenario)
     report = sim.run()
     check_report(report)

@@ -1,10 +1,13 @@
 import math
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesim import net_model
 from edgesim.errors import ConfigurationError, NotReadyError, TimeRegressionError
 from edgesim.net_model import (
     EmaState,
@@ -227,7 +230,7 @@ class TestNlm:
         nlm = self._nlm()
         nlm.observe("edge-a", "edge-b", 15.0, 1.0)
         assert nlm.score("edge-b", "edge-a") == pytest.approx(15.0)
-        assert nlm.link("edge-a", "edge-b").latest_ms == 15.0
+        assert nlm.latest_ms("edge-a", "edge-b") == 15.0
 
     def test_status_consistent_with_classifier(self):
         nlm = self._nlm()
@@ -284,3 +287,106 @@ class TestNlm:
         # a link added after the first call must show up in the next one
         nlm.add_link("edge-c", "edge-a", StableParams(alpha=2.0))
         assert nlm.pairs() == [("edge-a", "edge-b"), ("edge-a", "edge-c")]
+
+
+def _bits(*values):
+    """Exact bit patterns, so -0.0 and 0.0 differ and NaN equals itself."""
+    return [np.float64(v).tobytes() if isinstance(v, float) else v for v in values]
+
+
+@st.composite
+def probe_scripts(draw):
+    """Links mixing the CMS branches and floors, then a run of epoch probes
+    and scalar legs at non-decreasing times."""
+    links = [
+        (draw(st.sampled_from(sorted(CMS_BRANCHES))), draw(st.sampled_from([NO_FLOOR, 0.1, 2.0])))
+        for _ in range(draw(st.integers(1, 50)))
+    ]
+    steps = []
+    t = 0.0
+    for _ in range(draw(st.integers(1, 12))):
+        t += draw(st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]), st.floats(0.0, 400.0)))
+        if draw(st.booleans()):
+            steps.append(("probe", t, None))
+        else:
+            # a leg on one link, in either orientation
+            steps.append(("leg", t, (draw(st.integers(0, len(links) - 1)), draw(st.booleans()))))
+    return links, steps
+
+
+class TestProbeAll:
+    """``Nlm.probe_all`` against each link run alone through ``LinkState.draw``
+    and ``ema_update``: the values must be the same to the bit."""
+
+    @given(
+        script=probe_scripts(),
+        cap=st.sampled_from([1, net_model._BLOCK_CAP]),
+        chunk=st.sampled_from([1, 3, net_model._REFILL_CHUNK]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_link_reference(self, script, cap, chunk):
+        links, steps = script
+        nlm = Nlm()
+        reference = []
+        for i, (branch, floor_ms) in enumerate(links):
+            params = CMS_BRANCHES[branch]
+            nlm.add_link(f"edge-{i}", f"cam-{i}", params, floor_ms=floor_ms, rng=np.random.default_rng(i))
+            ref_link = LinkState(params=params, floor_ms=floor_ms, rng=np.random.default_rng(i))
+            reference.append([ref_link, EmaState(), None])
+
+        def ref_step(i, now_s):
+            ref_link, ema, _ = reference[i]
+            sample = ref_link.draw()
+            reference[i][1:] = [ema_update(ema, sample, now_s), sample]
+            return sample
+
+        with mock.patch.object(net_model, "_BLOCK_CAP", cap), mock.patch.object(
+            net_model, "_REFILL_CHUNK", chunk
+        ):
+            for kind, now_s, leg in steps:
+                if kind == "probe":
+                    nlm.probe_all(now_s)
+                    for i in range(len(links)):
+                        ref_step(i, now_s)
+                else:
+                    i, reverse = leg
+                    a, b = (f"cam-{i}", f"edge-{i}") if reverse else (f"edge-{i}", f"cam-{i}")
+                    assert _bits(nlm.sample_and_observe(a, b, now_s)) == _bits(ref_step(i, now_s))
+
+        for i, (_, ema, latest) in enumerate(reference):
+            got = nlm.ema(f"edge-{i}", f"cam-{i}")
+            assert _bits(*astuple(got)) == _bits(*astuple(ema))
+            assert _bits(nlm.latest_ms(f"cam-{i}", f"edge-{i}")) == _bits(latest)
+
+    def test_time_regression_raises_and_changes_nothing(self):
+        params = CMS_BRANCHES["symmetric"]
+        nlm = Nlm()
+        nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(1))
+        nlm.add_link("edge-a", "cam-2", params, rng=np.random.default_rng(2))
+        nlm.sample_and_observe("edge-a", "cam-2", 5.0)
+        before = (nlm.ema("edge-a", "cam-1"), nlm.ema("edge-a", "cam-2"))
+        with pytest.raises(TimeRegressionError):
+            nlm.probe_all(4.0)
+        assert (nlm.ema("edge-a", "cam-1"), nlm.ema("edge-a", "cam-2")) == before
+        # no draw was consumed either: the next probe takes each link's next value
+        nlm.probe_all(6.0)
+        ref = LinkState(params=params, rng=np.random.default_rng(1))
+        assert nlm.latest_ms("edge-a", "cam-1") == ref.draw()
+
+    def test_link_without_generator_cannot_be_probed(self):
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
+        with pytest.raises(ConfigurationError, match="generator"):
+            nlm.probe_all(0.0)
+
+    def test_empty_matrix_probe_is_a_no_op(self):
+        Nlm().probe_all(1.0)
+
+    def test_re_adding_a_link_clears_its_row(self):
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), rng=np.random.default_rng(0))
+        nlm.probe_all(3.0)
+        nlm.add_link("edge-b", "edge-a", StableParams(alpha=2.0), rng=np.random.default_rng(0))
+        assert nlm.ema("edge-a", "edge-b") == EmaState()
+        assert nlm.latest_ms("edge-a", "edge-b") is None
+        assert nlm.pairs() == [("edge-a", "edge-b")]

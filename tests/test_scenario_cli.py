@@ -58,6 +58,27 @@ class TestValidate:
         errors = validate(from_dict(doc))
         assert any("ghost" in e for e in errors)
 
+    def test_overlapping_fault_windows_on_one_node_reported_with_both_paths(self):
+        scenario = presets.default_scenario()
+        scenario.faults = [
+            FaultSpec(node_id="upsquared", at_s=5.0, duration_s=10.0),
+            FaultSpec(node_id="coral", at_s=6.0, duration_s=10.0),
+            FaultSpec(node_id="upsquared", at_s=7.0, duration_s=2.0),
+        ]
+        assert validate(scenario) == ["faults[2]: overlaps faults[0] on node 'upsquared'"]
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            [(5.0, 5.0), (10.0, 2.0)],  # back to back: one ends as the next starts
+            [(5.0, 10.0), (7.0, 0.0)],  # a zero-length window is empty
+        ],
+    )
+    def test_disjoint_fault_windows_accepted(self, windows):
+        scenario = presets.default_scenario()
+        scenario.faults = [FaultSpec(node_id="upsquared", at_s=a, duration_s=d) for a, d in windows]
+        assert validate(scenario) == []
+
     def test_non_finite_floats_set_in_python_reported_with_path(self):
         scenario = presets.default_scenario()
         scenario.end_devices[0].qos_ms = math.nan

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,10 +74,24 @@ def weighted_fault_scenario():
     return scenario
 
 
+def many_link_scenario():
+    # 8 nodes and 16 streams: 156 links, so each epoch probe refills many
+    # buffers in one batch
+    scenario = mini_scenario(n_nodes=8, n_devices=16, fps=2.0, duration=10.0, qos=150.0)
+    scenario.network = NetworkConfig()
+    return scenario
+
+
 class TestBlockBuffering:
     @pytest.mark.parametrize(
         "build",
-        [presets.default_scenario, presets.overload_scenario, presets.fault_scenario, weighted_fault_scenario],
+        [
+            presets.default_scenario,
+            presets.overload_scenario,
+            presets.fault_scenario,
+            weighted_fault_scenario,
+            many_link_scenario,
+        ],
     )
     def test_block_size_never_changes_a_report(self, build, monkeypatch):
         def report_sha256():
@@ -311,6 +326,30 @@ class TestFaults:
         sim = Simulation(scenario)
         with pytest.raises(ConfigurationError):
             sim.inject_fault("ghost", 1.0, 1.0)
+
+    def test_overlapping_fault_windows_rejected(self):
+        # an inner window's end used to reopen the node while the outer
+        # window still held: frames went to upsquared at 9-14 s
+        scenario = presets.default_scenario()
+        scenario.devices = [d for d in scenario.devices if d.name == "upsquared"]
+        scenario.end_devices = scenario.end_devices[:1]
+        scenario.faults = [
+            FaultSpec(node_id="upsquared", at_s=5.0, duration_s=10.0),
+            FaultSpec(node_id="upsquared", at_s=7.0, duration_s=2.0),
+        ]
+        with pytest.raises(ConfigurationError, match=r"faults\[1\]: overlaps faults\[0\]"):
+            Simulation(scenario)
+
+    def test_nested_downtime_windows_close_with_the_outer_one(self):
+        events = [
+            {"t": 5.0, "node": "n", "event": "fault-start"},
+            {"t": 7.0, "node": "n", "event": "fault-start"},
+            {"t": 9.0, "node": "n", "event": "fault-end"},
+            {"t": 15.0, "node": "n", "event": "fault-end"},
+            {"t": 16.0, "node": "n", "event": "quarantine"},
+        ]
+        report = SimpleNamespace(node_events=events, duration_s=20.0)
+        assert downtime_windows(report) == {"n": [(5.0, 15.0), (16.0, 21.0)]}
 
     def test_faulted_window_reconstruction(self):
         scenario = mini_scenario(n_nodes=2, n_devices=1, duration=10.0)
