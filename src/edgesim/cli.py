@@ -3,26 +3,33 @@
 Outputs per run: ``report.json`` (full metrics), ``frames.csv`` (one row
 per completed frame, sorted by completion time then frame id),
 ``decisions.log`` (orchestrator decision entries, one JSON object per
-line), and ``summary.txt``. Files are written atomically. Verbosity is
-controlled by the ``EDGESIM_LOG`` environment variable (error|info|debug).
+line), and ``summary.txt``. Files are written atomically. ``report.json``
+is streamed to disk as it is encoded, never built whole in memory, in the
+same bytes as ``json.dumps(report.to_dict(), sort_keys=True, indent=2)``
+plus a newline. Verbosity is controlled by the ``EDGESIM_LOG`` environment
+variable (error|info|debug).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, TextIO
 
 from . import presets
 from .errors import ConfigurationError, EdgesimError
 from .orchestrator import POLICIES
 from .scenario import Scenario, load_scenario, save_scenario, to_dict, validate
-from .sim_engine import MetricsReport, run
+from .sim_engine import FrameRecord, MetricsReport, run
 
 log = logging.getLogger("edgesim")
 
@@ -54,12 +61,15 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=levels[level], format="%(levelname)s %(message)s")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, emit: Callable[[TextIO], object]) -> None:
+    """Write ``path`` through ``emit(handle)`` into a temp file beside it,
+    then rename it into place. If ``emit`` raises, the temp file is removed
+    and a file already at ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            emit(handle)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -69,31 +79,23 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def frames_csv(report: MetricsReport) -> str:
-    lines = [",".join(FRAME_COLUMNS)]
-    for f in report.frames:
-        lines.append(
-            ",".join(
-                [
-                    repr(f.completed_at),
-                    f.end_device,
-                    f.node,
-                    str(f.frame_size_px),
-                    str(f.n_instances),
-                    repr(f.cpu_ms),
-                    repr(f.accel_ms),
-                    repr(f.net_out_ms + f.net_back_ms),
-                    repr(f.e2e_ms),
-                    f.state,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def write_frames_csv(report: MetricsReport, handle: TextIO) -> None:
+    handle.write(",".join(FRAME_COLUMNS) + "\n")
+    handle.writelines(
+        f"{f.completed_at!r},{f.end_device},{f.node},{f.frame_size_px},{f.n_instances},{f.cpu_ms!r},"
+        f"{f.accel_ms!r},{f.net_out_ms + f.net_back_ms!r},{f.e2e_ms!r},{f.state}\n"
+        for f in report.frames
+    )
 
 
-def decisions_log(report: MetricsReport) -> str:
-    lines = [json.dumps(entry, sort_keys=True) for entry in report.decision_log]
-    return "\n".join(lines) + ("\n" if lines else "")
+#: one encoder for every decisions.log line; json.dumps(..., sort_keys=True)
+#: would build a new one per line
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def write_decisions_log(report: MetricsReport, handle: TextIO) -> None:
+    encode = _LINE_ENCODER.encode
+    handle.writelines(encode(entry) + "\n" for entry in report.decision_log)
 
 
 def summary_text(report: MetricsReport) -> str:
@@ -118,13 +120,157 @@ def summary_text(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# JSON in the layout of json.dumps(value, sort_keys=True, indent=2), streamed
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+#: pieces of text gathered before one write to the file
+_CHUNK = 4096
+
+_FRAME_FIELDS = sorted(f.name for f in dataclasses.fields(FrameRecord))
+_FRAME_VALUES = attrgetter(*_FRAME_FIELDS)
+
+
+def _scalar_text(value: object) -> str | None:
+    """The JSON text of a str, int, float, bool or None; None for anything
+    else, subclasses of these types included."""
+    kind = type(value)
+    if kind is str:
+        return _ESCAPE(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return None
+
+
+def _frame_template(kinds: tuple[type, ...], level: int) -> tuple[str, tuple[int, ...], tuple[int, ...]] | None:
+    """The %-template of a frame row nested ``level`` deep whose values, in
+    ``_FRAME_FIELDS`` order, have exactly these types, with the positions
+    of its str and its float values; None unless every type is one of
+    str, int and float."""
+    if not all(kind is str or kind is int or kind is float for kind in kinds):
+        return None
+    pad = "\n" + "  " * (level + 1)
+    body = ",".join(
+        f"{pad}{_ESCAPE(name)}: {'%s' if kind is str else '%r'}" for name, kind in zip(_FRAME_FIELDS, kinds)
+    )
+    strings = tuple(i for i, kind in enumerate(kinds) if kind is str)
+    floats = tuple(i for i, kind in enumerate(kinds) if kind is float)
+    return "{" + body + "\n" + "  " * level + "}", strings, floats
+
+
+class _JsonWriter:
+    """Writes values to a text handle in the bytes of
+    ``json.dumps(value, sort_keys=True, indent=2)``. A ``FrameRecord``,
+    subclasses included, is written as ``dict(vars(record))`` would be."""
+
+    def __init__(self, handle: TextIO):
+        self._handle = handle
+        self._parts: list[str] = []
+        self._templates: dict[tuple, tuple | None] = {}
+
+    def flush(self) -> None:
+        self._handle.write("".join(self._parts))
+        self._parts.clear()
+
+    def value(self, value: object, level: int = 0) -> None:
+        """Write ``value`` nested ``level`` containers deep."""
+        parts = self._parts
+        kind = type(value)
+        if kind is FrameRecord:
+            row = self._frame_row(value, level)
+            if row is not None:
+                parts.append(row)
+                return
+            value = dict(vars(value))
+            kind = dict
+        if kind is dict and all(type(key) is str for key in value):
+            if not value:
+                parts.append("{}")
+                return
+            pad = "\n" + "  " * (level + 1)
+            sep = "{" + pad
+            for key in sorted(value):
+                item = value[key]
+                text = _scalar_text(item)
+                if text is None:
+                    parts.append(sep + _ESCAPE(key) + ": ")
+                    self.value(item, level + 1)
+                else:
+                    parts.append(sep + _ESCAPE(key) + ": " + text)
+                sep = "," + pad
+                if len(parts) >= _CHUNK:
+                    self.flush()
+            parts.append("\n" + "  " * level + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                parts.append("[]")
+                return
+            pad = "\n" + "  " * (level + 1)
+            sep = "[" + pad
+            for item in value:
+                parts.append(sep)
+                self.value(item, level + 1)
+                sep = "," + pad
+                if len(parts) >= _CHUNK:
+                    self.flush()
+            parts.append("\n" + "  " * level + "]")
+        else:
+            text = _scalar_text(value)
+            if text is not None:
+                parts.append(text)
+            elif isinstance(value, FrameRecord):
+                self.value(dict(vars(value)), level)
+            else:
+                # anything else, subclasses of the plain types included, goes
+                # to the reference encoder, which also raises its TypeError;
+                # its strings hold no raw newline, so re-indenting is safe
+                parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level))
+
+    def _frame_row(self, record: FrameRecord, level: int) -> str | None:
+        """A frame record filled into the template for the exact types of
+        its values; None if there is none or a float is not finite."""
+        values = _FRAME_VALUES(record)
+        key = (tuple(map(type, values)), level)
+        if key not in self._templates:
+            self._templates[key] = _frame_template(*key)
+        plan = self._templates[key]
+        if plan is None:
+            return None
+        template, strings, floats = plan
+        # the sum of finite floats may overflow, but any NaN or infinity
+        # makes it non-finite; an overflow only costs the generic path
+        if floats and not math.isfinite(sum([values[i] for i in floats])):
+            return None
+        args = list(values)
+        for i in strings:
+            args[i] = _ESCAPE(args[i])
+        return template % tuple(args)
+
+
+def write_report_json(report: MetricsReport, handle: TextIO) -> None:
+    """Stream ``report.json``: the bytes of
+    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
+    writer = _JsonWriter(handle)
+    writer.value(report.sections())
+    writer.flush()
+    handle.write("\n")
+
+
 def write_outputs(report: MetricsReport, out_dir: Path, fmt: str) -> None:
     if fmt in ("json", "all"):
-        _atomic_write(out_dir / "report.json", json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+        _atomic_write(out_dir / "report.json", lambda handle: write_report_json(report, handle))
     if fmt in ("csv", "all"):
-        _atomic_write(out_dir / "frames.csv", frames_csv(report))
-    _atomic_write(out_dir / "decisions.log", decisions_log(report))
-    _atomic_write(out_dir / "summary.txt", summary_text(report))
+        _atomic_write(out_dir / "frames.csv", lambda handle: write_frames_csv(report, handle))
+    _atomic_write(out_dir / "decisions.log", lambda handle: write_decisions_log(report, handle))
+    _atomic_write(out_dir / "summary.txt", lambda handle: handle.write(summary_text(report)))
 
 
 def _load(scenario_arg: str) -> Scenario:

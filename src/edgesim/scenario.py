@@ -159,6 +159,17 @@ class FaultSpec:
         if self.duration_s < 0:
             raise ConfigurationError(f"fault on {self.node_id!r}: duration_s must be >= 0")
 
+    def overlaps(self, other: FaultSpec) -> bool:
+        """Whether both windows [at, at + duration) fault one node at some
+        instant. A node is faulted or not, so such windows may not both
+        hold; a zero-length window is empty and overlaps nothing."""
+        return (
+            self.node_id == other.node_id
+            and min(self.duration_s, other.duration_s) > 0
+            and self.at_s < other.at_s + other.duration_s
+            and other.at_s < self.at_s + self.duration_s
+        )
+
 
 @dataclass
 class Scenario:
@@ -206,15 +217,8 @@ def validate(scenario: Scenario) -> list[str]:
         check(f"faults[{i}]", fault.validate)
         if fault.node_id not in names:
             errors.append(f"faults[{i}]: unknown node {fault.node_id!r}")
-        # a node is faulted or not, so its windows [at, at + duration) must
-        # not overlap; a zero-length window is empty and never does
         for j, other in enumerate(scenario.faults[:i]):
-            if (
-                other.node_id == fault.node_id
-                and min(fault.duration_s, other.duration_s) > 0
-                and fault.at_s < other.at_s + other.duration_s
-                and other.at_s < fault.at_s + fault.duration_s
-            ):
+            if fault.overlaps(other):
                 errors.append(f"faults[{i}]: overlaps faults[{j}] on node {fault.node_id!r}")
     return errors
 

@@ -50,7 +50,7 @@ from .profiler_health import (
     evaluate_health,
     merge_since,
 )
-from .scenario import EndDevice, Scenario, validate
+from .scenario import EndDevice, FaultSpec, Scenario, validate
 
 __all__ = [
     "Event",
@@ -178,7 +178,10 @@ class MetricsReport:
     registry_dump: list[dict]
     gossip_kbps_per_node: float
 
-    def to_dict(self) -> dict:
+    def sections(self) -> dict:
+        """The top-level sections of ``to_dict()``, except that ``frames``
+        is the list of ``FrameRecord`` objects itself, so a writer can
+        stream the records without copying each into a dict."""
         return {
             "seed": self.seed,
             "policy": self.policy,
@@ -186,7 +189,7 @@ class MetricsReport:
             "duration_s": self.duration_s,
             "counters": dict(sorted(self.counters.items())),
             "gossip_kbps_per_node": self.gossip_kbps_per_node,
-            "frames": [dict(vars(f)) for f in self.frames],
+            "frames": self.frames,
             "migrations": [dict(vars(m)) for m in self.migrations],
             "instance_series": {k: [list(p) for p in v] for k, v in sorted(self.instance_series.items())},
             "utilization": dict(sorted(self.utilization.items())),
@@ -197,6 +200,11 @@ class MetricsReport:
             "nlm": self.nlm_snapshot,
             "registry": self.registry_dump,
         }
+
+    def to_dict(self) -> dict:
+        doc = self.sections()
+        doc["frames"] = [dict(vars(f)) for f in self.frames]
+        return doc
 
 
 class Simulation:
@@ -213,6 +221,7 @@ class Simulation:
         self.now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Event]] = []
+        self._faults: list[FaultSpec] = []  # the non-empty windows injected so far
 
         orch = scenario.orchestrator
         self.policy = orch.policy
@@ -327,6 +336,14 @@ class Simulation:
             raise ConfigurationError(f"cannot fault unknown node {node_id!r}")
         if duration_s <= 0:
             return
+        window = FaultSpec(node_id, at_s, duration_s)
+        for other in self._faults:
+            if window.overlaps(other):
+                raise ConfigurationError(
+                    f"fault window [{at_s}, {at_s + duration_s}) on node {node_id!r} overlaps "
+                    f"[{other.at_s}, {other.at_s + other.duration_s})"
+                )
+        self._faults.append(window)
         self._schedule(at_s, EVENT_NODE_FAULT, {"node": node_id, "action": "start"})
         self._schedule(at_s + duration_s, EVENT_NODE_FAULT, {"node": node_id, "action": "end"})
 

@@ -1,17 +1,21 @@
 import csv
 import dataclasses
+import enum
 import hashlib
+import io
 import json
 import math
 import re
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesim import presets
+from edgesim import cli
 from edgesim.cli import FRAME_COLUMNS, PRESET_SCENARIOS, main
 from edgesim.device_model import DeviceProfile
 from edgesim.errors import ConfigurationError
@@ -32,6 +36,7 @@ from edgesim.scenario import (
     to_dict,
     validate,
 )
+from edgesim.sim_engine import FrameRecord, MetricsReport, run
 
 
 class TestValidate:
@@ -400,3 +405,191 @@ class TestRunCommand:
         run_cli("run", "--scenario", "default", "--seed", "1", "--out", str(a))
         run_cli("run", "--scenario", "default", "--seed", "2", "--out", str(b))
         assert digest(a / "frames.csv") != digest(b / "frames.csv")
+
+
+def reference_json(report: MetricsReport) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def streamed_json(report: MetricsReport) -> str:
+    buf = io.StringIO()
+    cli.write_report_json(report, buf)
+    return buf.getvalue()
+
+
+def generic_json(value) -> str:
+    buf = io.StringIO()
+    writer = cli._JsonWriter(buf)
+    writer.value(value)
+    writer.flush()
+    return buf.getvalue()
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+# strings the encoder must escape: non-ASCII, astral, quote, backslash, controls
+AWKWARD = ["caf\u00e9 \U0001f600", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", ""]
+
+
+def odd_frame(**values) -> FrameRecord:
+    base = dict(
+        frame_id=0,
+        task_id="task-a",
+        end_device="a",
+        node="n",
+        dispatched_to="n",
+        frame_size_px=600,
+        n_instances=1,
+        qos_ms=300.0,
+        emitted_at=0.0,
+        dispatched_at=0.5,
+        completed_at=1.25,
+        net_out_ms=1e-7,
+        queueing_ms=0.0,
+        cpu_ms=12.5,
+        accel_ms=3.0e21,
+        model_load_ms=-0.0,
+        processing_ms=15.5,
+        net_back_ms=2.0,
+        e2e_ms=20.0,
+        state="pass",
+    )
+    base.update(values)
+    return FrameRecord(**base)
+
+
+def odd_report(frames, decision_log) -> MetricsReport:
+    return MetricsReport(
+        seed=3,
+        policy="p\u00e9",
+        offloading_enabled=False,
+        duration_s=math.inf,
+        frames=frames,
+        migrations=[],
+        counters={},
+        instance_series={"n": [(0.0, 0), (1.5, 2)]},
+        utilization={"n": math.nan},
+        breakdown=[{"nested": {"deeper": [[], {}, [None, True, False]]}}],
+        health_transitions=[],
+        node_events=[],
+        decision_log=decision_log,
+        nlm_snapshot={},
+        registry_dump=[{"k": -math.inf, "tuple": (1, "x")}],
+        gossip_kbps_per_node=np.float64(7.25),
+    )
+
+
+def json_trees():
+    """JSON-like values, with subclasses and non-str keys that the
+    writer leaves to the reference encoder."""
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.text()
+        | st.floats().map(np.float64)
+        | st.sampled_from(list(Level))
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3),
+        max_leaves=24,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggedFrame(FrameRecord):
+    tag: str = "extra"
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("name", sorted(PRESET_SCENARIOS))
+    def test_presets_match_the_reference_encoder(self, name, tmp_path):
+        report = run(PRESET_SCENARIOS[name](), seed=1)
+        cli.write_outputs(report, tmp_path, "json")
+        assert (tmp_path / "report.json").read_text() == reference_json(report)
+
+    def test_run_without_frames_or_decisions(self):
+        scenario = presets.default_scenario()
+        scenario.end_devices = scenario.end_devices[:1]
+        scenario.end_devices[0].start_s = scenario.sim.duration_s
+        report = run(scenario, seed=1)
+        assert report.frames == [] and report.decision_log == [] and report.migrations == []
+        assert streamed_json(report) == reference_json(report)
+
+    def test_empty_sections(self):
+        report = odd_report([], [])
+        assert '"frames": [],' in streamed_json(report)
+        assert streamed_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize("text", AWKWARD)
+    def test_awkward_strings_in_frame_rows_and_sections(self, text):
+        report = odd_report([odd_frame(task_id=text, state=text)], [{text: text, "at": [text]}])
+        assert streamed_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"cpu_ms": math.nan},
+            {"accel_ms": math.inf},
+            {"e2e_ms": -math.inf},
+            {"qos_ms": None},
+            {"frame_size_px": True, "n_instances": False},
+            {"cpu_ms": np.float64(1.5)},
+            {"n_instances": Level.HIGH},
+            {"net_out_ms": 1e308, "net_back_ms": 1e308},  # finite, but they sum to inf
+            {"emitted_at": 0, "qos_ms": 250},  # ints in float fields
+            {"processing_ms": [1.0, {"x": None}]},
+        ],
+    )
+    def test_odd_values_in_frame_rows_and_sections(self, values):
+        frames = [odd_frame(), odd_frame(frame_id=1, **values), odd_frame(frame_id=2)]
+        report = odd_report(frames, [dict(values, kind="odd")])
+        assert streamed_json(report) == reference_json(report)
+
+    def test_frame_record_subclass_keeps_its_extra_fields(self):
+        report = odd_report([odd_frame(), TaggedFrame(**vars(odd_frame(frame_id=1)))], [])
+        assert '"tag": "extra"' in streamed_json(report)
+        assert streamed_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize("where", ["frame", "section"])
+    def test_unencodable_value_raises_the_encoders_type_error(self, where):
+        bad = {1, 2}
+        if where == "frame":
+            report = odd_report([odd_frame(), odd_frame(node=bad)], [])
+        else:
+            report = odd_report([odd_frame()], [{"kind": bad}])
+        with pytest.raises(TypeError) as expected:
+            reference_json(report)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            streamed_json(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees())
+    def test_generic_path_matches_the_reference_encoder(self, value):
+        assert generic_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_failed_stream_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._atomic_write(path, lambda handle: cli.write_report_json(odd_report([odd_frame()], []), handle))
+        before = path.read_bytes()
+        # "decision_log" sorts before "frames": the stream fails after
+        # thousands of frame rows have gone to the temp file
+        bad = odd_report([odd_frame(frame_id=n) for n in range(5000)] + [odd_frame(node=object())], [])
+        with pytest.raises(TypeError):
+            cli._atomic_write(path, lambda handle: cli.write_report_json(bad, handle))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_decisions_log_lines_match_json_dumps(self, tmp_path):
+        report = run(presets.overload_scenario(), seed=1)
+        assert report.decision_log
+        cli.write_outputs(report, tmp_path, "json")
+        lines = [json.dumps(entry, sort_keys=True) + "\n" for entry in report.decision_log]
+        assert (tmp_path / "decisions.log").read_text() == "".join(lines)

@@ -340,6 +340,28 @@ class TestFaults:
         with pytest.raises(ConfigurationError, match=r"faults\[1\]: overlaps faults\[0\]"):
             Simulation(scenario)
 
+    def test_overlapping_injected_fault_windows_rejected(self):
+        # windows injected by hand after construction never pass through
+        # validate(); the inner end used to reopen upsquared at 10-14 s
+        scenario = presets.default_scenario()
+        scenario.devices = [d for d in scenario.devices if d.name == "upsquared"]
+        scenario.end_devices = scenario.end_devices[:1]
+        sim = Simulation(scenario)
+        sim.inject_fault("upsquared", 5.0, 10.0)
+        with pytest.raises(ConfigurationError, match=r"\[7\.0, 9\.0\) on node 'upsquared' overlaps \[5\.0, 15\.0\)"):
+            sim.inject_fault("upsquared", 7.0, 2.0)
+        sim.inject_fault("upsquared", 7.0, 0.0)  # a zero-length window is still a no-op
+        sim.inject_fault("upsquared", 15.0, 1.0)  # back to back
+        check_report(sim.run())
+
+    def test_injected_window_checked_against_scenario_faults(self):
+        scenario = mini_scenario(n_nodes=2)
+        scenario.faults = [FaultSpec(node_id="node-a", at_s=2.0, duration_s=3.0)]
+        sim = Simulation(scenario)
+        sim.inject_fault("node-b", 3.0, 1.0)
+        with pytest.raises(ConfigurationError, match="node 'node-a'"):
+            sim.inject_fault("node-a", 4.0, 1.0)
+
     def test_nested_downtime_windows_close_with_the_outer_one(self):
         events = [
             {"t": 5.0, "node": "n", "event": "fault-start"},
