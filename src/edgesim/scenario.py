@@ -33,6 +33,10 @@ from .orchestrator import (
 from .profiler_health import DEFAULT_CRITICAL_FRACTION, DEFAULT_WARN_FRACTION
 
 _SERVICE_RE = re.compile(r"^[a-z0-9-]+$")
+# frames.csv writes ids unquoted, a link's stream is labelled
+# ``link:<lo>:<hi>`` and its nlm key is ``<a>|<b>``: an id holding one of
+# these characters splits a row or gives two links one label or key
+_ID_FORBIDDEN_RE = re.compile(r'[,"|:\x00-\x1f\x7f]')
 
 
 @dataclass
@@ -205,6 +209,13 @@ def validate(scenario: Scenario) -> list[str]:
     ids = [d.id for d in scenario.end_devices]
     if len(set(ids)) != len(ids):
         errors.append("end_devices: ids must be unique")
+    for path, values in (("devices[{}].name", names), ("end_devices[{}].id", ids)):
+        for i, value in enumerate(values):
+            if _ID_FORBIDDEN_RE.search(value):
+                errors.append(
+                    f"{path.format(i)}: {value!r} may not contain ',', '\"', '|', ':' "
+                    "or a control character"
+                )
     overlap = set(names) & set(ids)
     if overlap:
         errors.append(f"end_devices: ids collide with node names: {sorted(overlap)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,6 @@ from .profiler_health import (
 from .scenario import EndDevice, FaultSpec, Scenario, validate
 
 __all__ = [
-    "Event",
     "EndDevice",
     "FrameRecord",
     "MetricsReport",
@@ -63,24 +63,7 @@ __all__ = [
     "substream",
 ]
 
-EVENT_FRAME_ARRIVAL = "frame-arrival"
-EVENT_PROCESSING_COMPLETE = "processing-complete"
-EVENT_HEALTH_EPOCH = "health-epoch"
-EVENT_MIGRATION_COMPLETE = "migration-complete"
-EVENT_NODE_FAULT = "node-fault"
-EVENT_RUN_END = "run-end"
-
 _TIME_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class Event:
-    """Queue entry; pops in (time, sequence) order, sequence is unique."""
-
-    time: float
-    sequence: int
-    kind: str
-    payload: dict
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
@@ -220,7 +203,9 @@ class Simulation:
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         self.now = 0.0
         self._sequence = 0
-        self._queue: list[tuple[float, int, Event]] = []
+        # entries are (time, sequence, handler, args); sequence is unique, so
+        # entries pop in (time, scheduling) order and handlers are never compared
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._faults: list[FaultSpec] = []  # the non-empty windows injected so far
 
         orch = scenario.orchestrator
@@ -323,12 +308,12 @@ class Simulation:
                 qos_ms=ts.task.qos_ms,
                 emitted_at=t,
             )
-            self._schedule(t, EVENT_FRAME_ARRIVAL, {"phase": "emit", "frame": frame})
+            self._schedule(t, self._on_emit, frame)
         self.counters["frames_generated"] = len(emissions)
 
         for t in schedule_health_epochs(scenario.sim.health_epoch_interval_s, scenario.sim.duration_s):
-            self._schedule(t, EVENT_HEALTH_EPOCH, {})
-        self._schedule(scenario.sim.duration_s, EVENT_RUN_END, {})
+            self._schedule(t, self._on_health_epoch)
+        self._schedule(scenario.sim.duration_s, self._on_run_end)
 
     def inject_fault(self, node_id: str, at_s: float, duration_s: float) -> None:
         """Make a node unreachable during [at, at + duration)."""
@@ -344,13 +329,15 @@ class Simulation:
                     f"[{other.at_s}, {other.at_s + other.duration_s})"
                 )
         self._faults.append(window)
-        self._schedule(at_s, EVENT_NODE_FAULT, {"node": node_id, "action": "start"})
-        self._schedule(at_s + duration_s, EVENT_NODE_FAULT, {"node": node_id, "action": "end"})
+        # a window whose end rounds to its start holds no instant; its end
+        # would clear the fault of another window that starts with it
+        if at_s + duration_s > at_s:
+            self._schedule(at_s, self._on_fault, node_id, "start")
+            self._schedule(at_s + duration_s, self._on_fault, node_id, "end")
 
-    def _schedule(self, time: float, kind: str, payload: dict) -> None:
-        event = Event(time=time, sequence=self._sequence, kind=kind, payload=payload)
+    def _schedule(self, time: float, handler: Callable[..., None], *args) -> None:
+        heapq.heappush(self._queue, (time, self._sequence, handler, args))
         self._sequence += 1
-        heapq.heappush(self._queue, (event.time, event.sequence, event))
 
     def _add_link(self, a: str, b: str, params: StableParams) -> None:
         """Register a link with its own stream, labelled by its sorted endpoints."""
@@ -395,31 +382,19 @@ class Simulation:
 
     def run(self) -> MetricsReport:
         while self._queue and not self._finished:
-            time, _, event = heapq.heappop(self._queue)
-            if time < self.now - _TIME_EPS:
-                raise AssertionError(f"event at t={time} precedes clock t={self.now}")
-            self.now = max(self.now, time)
-            self._handle(event)
+            time, _, handler, args = heapq.heappop(self._queue)
+            self._handle(time, handler, args)
         return self._report()
 
-    def _handle(self, event: Event) -> None:
-        if event.kind == EVENT_FRAME_ARRIVAL:
-            if event.payload["phase"] == "emit":
-                self._on_emit(event.payload["frame"])
-            else:
-                self._on_at_node(event.payload["frame"])
-        elif event.kind == EVENT_PROCESSING_COMPLETE:
-            self._on_processing_complete(event.payload["frame"])
-        elif event.kind == EVENT_HEALTH_EPOCH:
-            self._on_health_epoch()
-        elif event.kind == EVENT_MIGRATION_COMPLETE:
-            self._on_migration_complete(event.payload["record"])
-        elif event.kind == EVENT_NODE_FAULT:
-            self._on_fault(event.payload["node"], event.payload["action"])
-        elif event.kind == EVENT_RUN_END:
-            self._finished = True
-        else:
-            raise AssertionError(f"unknown event kind {event.kind!r}")
+    def _handle(self, time: float, handler: Callable[..., None], args: tuple) -> None:
+        """Run one popped entry: advance the clock to it, then its handler."""
+        if time < self.now - _TIME_EPS:
+            raise AssertionError(f"event at t={time} precedes clock t={self.now}")
+        self.now = max(self.now, time)
+        handler(*args)
+
+    def _on_run_end(self) -> None:
+        self._finished = True
 
     # -- frame path ----------------------------------------------------
 
@@ -470,11 +445,7 @@ class Simulation:
         frame.dispatched_to = host
         frame.engine_wait_ms = (self.now - frame.emitted_at) * 1000.0
         frame.net_out_ms = self.nlm.sample_and_observe(host, frame.end_device_id, self.now)
-        self._schedule(
-            self.now + frame.net_out_ms / 1000.0,
-            EVENT_FRAME_ARRIVAL,
-            {"phase": "at-node", "frame": frame},
-        )
+        self._schedule(self.now + frame.net_out_ms / 1000.0, self._on_at_node, frame)
 
     def _on_at_node(self, frame: _Frame) -> None:
         ts = self.tasks[frame.task_id]
@@ -498,11 +469,7 @@ class Simulation:
         frame.node = node.name
         frame.outcome = outcome
         self.busy_ms[node.name] += outcome.total_processing_ms
-        self._schedule(
-            self.now + outcome.total_processing_ms / 1000.0,
-            EVENT_PROCESSING_COMPLETE,
-            {"frame": frame},
-        )
+        self._schedule(self.now + outcome.total_processing_ms / 1000.0, self._on_processing_complete, frame)
 
     def _on_processing_complete(self, frame: _Frame) -> None:
         ts = self.tasks[frame.task_id]
@@ -694,7 +661,7 @@ class Simulation:
         ts.task.host_node = None
         ts.migration = record
         self._record_instances(source)
-        self._schedule(self.now + cost / 1000.0, EVENT_MIGRATION_COMPLETE, {"record": record})
+        self._schedule(self.now + cost / 1000.0, self._on_migration_complete, record)
         self._log(
             "migrate",
             f"{source}->{target}",
@@ -740,7 +707,7 @@ class Simulation:
                 )
                 record.to_node = fallback
                 record.metadata_transfer_ms += extra
-                self._schedule(self.now + extra / 1000.0, EVENT_MIGRATION_COMPLETE, {"record": record})
+                self._schedule(self.now + extra / 1000.0, self._on_migration_complete, record)
                 self._log(
                     "migration-retry",
                     f"{record.from_node}->{fallback}",
@@ -821,13 +788,9 @@ class Simulation:
 
     def _frames_in_flight(self) -> int:
         """Frames neither completed nor failed, counted where they sit: in a
-        queued arrival or completion event, the deferred slot, a task queue
-        or an instance's busy slot."""
-        ids = {
-            event.payload["frame"].frame_id
-            for _, _, event in self._queue
-            if event.kind in (EVENT_FRAME_ARRIVAL, EVENT_PROCESSING_COMPLETE)
-        }
+        queued entry, the deferred slot, a task queue or an instance's busy
+        slot."""
+        ids = {arg.frame_id for *_, args in self._queue for arg in args if isinstance(arg, _Frame)}
         ids.update(frame.frame_id for frame in self.pending.values())
         for ts in self.tasks.values():
             ids.update(frame.frame_id for frame in ts.queue)

@@ -36,7 +36,7 @@ from edgesim.scenario import (
     to_dict,
     validate,
 )
-from edgesim.sim_engine import FrameRecord, MetricsReport, run
+from edgesim.sim_engine import FrameRecord, MetricsReport, Simulation, run
 
 
 class TestValidate:
@@ -97,6 +97,28 @@ class TestValidate:
         scenario.devices.append(scenario.devices[0])
         errors = validate(scenario)
         assert any("unique" in e for e in errors)
+
+    @pytest.mark.parametrize(
+        "names, ids, paths",
+        [
+            # frames.csv writes ids unquoted: rows of 3, 10 and 11 fields
+            (["upsquared"], ['rpi,"1'], ["end_devices[0].id"]),
+            # the links a to b:c and a:b to c would share the stream label link:a:b:c
+            (["a", "c"], ["a:b", "b:c"], ["end_devices[0].id", "end_devices[1].id"]),
+            # the links a to b|c and a|b to c would share the nlm key a|b|c
+            (["a", "c"], ["a|b", "b|c"], ["end_devices[0].id", "end_devices[1].id"]),
+            (["edge\x7f1", "edge\t2"], ["rpi-1"], ["devices[0].name", "devices[1].name"]),
+        ],
+        ids=["comma-quote", "colon", "pipe", "control"],
+    )
+    def test_id_that_breaks_outputs_or_link_streams_rejected_with_path(self, names, ids, paths):
+        scenario = presets.default_scenario()
+        scenario.devices = [dataclasses.replace(scenario.devices[0], name=n) for n in names]
+        scenario.end_devices = [dataclasses.replace(scenario.end_devices[0], id=i) for i in ids]
+        errors = validate(scenario)
+        assert [e.split(": ", 1)[0] for e in errors] == paths
+        with pytest.raises(ConfigurationError, match=re.escape(paths[0])):
+            Simulation(scenario)
 
 
 class TestStrictParsing:

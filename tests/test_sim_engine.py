@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from edgesim.device_model import DeviceProfile
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
-from edgesim.sim_engine import Simulation, run, schedule_health_epochs, substream
+from edgesim.sim_engine import Simulation, _Frame, run, schedule_health_epochs, substream
 
 from engine_checks import check_conservation, check_report, downtime_windows
 
@@ -154,6 +155,57 @@ class TestConservation:
         sim._report = drop_one_then_report
         with pytest.raises(AssertionError):
             check_conservation(sim.run())
+
+    def _in_transit(self):
+        # a 2 s link to the end device: frames dispatched in the last 2 s
+        # are still in queued arrival entries when the run ends
+        scenario = mini_scenario(n_nodes=1, fps=5.0, duration=3.0)
+        scenario.orchestrator.offloading_enabled = False
+        scenario.network.edge_device = dataclasses.replace(scenario.network.edge_device, location=2000.0)
+        return Simulation(scenario)
+
+    def test_frames_in_queued_entries_are_counted_in_flight(self):
+        sim = self._in_transit()
+        report = sim.run()
+        check_conservation(report)
+        queued = {arg.frame_id for *_, args in sim._queue for arg in args if isinstance(arg, _Frame)}
+        assert queued
+        assert report.counters["frames_in_flight_at_end"] >= len(queued)
+
+    def test_dropped_queued_entry_breaks_conservation(self):
+        sim = self._in_transit()
+        report_now = sim._report
+
+        def drop_one_then_report():
+            # an arrival entry's frame sits nowhere else
+            del sim._queue[next(i for i, e in enumerate(sim._queue) if e[2] == sim._on_at_node)]
+            return report_now()
+
+        sim._report = drop_one_then_report
+        with pytest.raises(AssertionError):
+            check_conservation(sim.run())
+
+
+class TestEventCount:
+    """The benchmark reads calls of ``Simulation._handle`` as its event
+    count, so every popped entry must run through it."""
+
+    def test_every_popped_entry_runs_through_handle(self, monkeypatch):
+        counts = {"handled": 0, "scheduled": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Simulation, "_handle", counted("handled", Simulation._handle))
+        monkeypatch.setattr(Simulation, "_schedule", counted("scheduled", Simulation._schedule))
+        sim = Simulation(presets.fault_scenario(), seed=1)
+        sim.run()
+        assert counts["handled"] > 0
+        assert counts["handled"] == counts["scheduled"] - len(sim._queue)
 
 
 class TestHealthEpochs:
@@ -320,6 +372,17 @@ class TestFaults:
         baseline = to_json(run(scenario))
         scenario.faults = [FaultSpec(node_id="node-a", at_s=5.0, duration_s=0.0)]
         assert to_json(run(scenario)) == baseline
+
+    def test_window_whose_end_rounds_to_its_start_is_invisible(self):
+        # 2.0 + 1e-300 == 2.0: the short window's end used to clear node-a's
+        # fault at 2 s while the window [2, 5) still held
+        scenario = mini_scenario(n_nodes=2, n_devices=1, duration=10.0)
+        scenario.faults = [FaultSpec(node_id="node-a", at_s=2.0, duration_s=3.0)]
+        baseline = to_json(run(scenario))
+        scenario.faults.append(FaultSpec(node_id="node-a", at_s=2.0, duration_s=1e-300))
+        report = run(scenario)
+        assert to_json(report) == baseline
+        check_report(report)
 
     def test_unknown_fault_node_rejected(self):
         scenario = mini_scenario()
