@@ -159,13 +159,30 @@ class InferenceTask:
 
 @dataclass
 class NodeRuntime:
-    """Per-node mutable state, owned by the event loop."""
+    """Per-node mutable state, owned by the event loop.
+
+    ``profile`` is fixed for the node's life: ``components`` memoizes the
+    latencies read from it.
+    """
 
     profile: DeviceProfile
     loaded_models: set[str] = field(default_factory=set)
     active_tasks: dict[str, InferenceTask] = field(default_factory=dict)
     faulted: bool = False
     quarantined: bool = False
+    _components: dict[tuple[float, float], tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def components(self, frame_size: float, n: float) -> tuple[float, float]:
+        """``predict_components(self.profile, frame_size, n)``, computed once
+        per (frame size, instance count): a run asks for few distinct keys.
+        A call that raises stores nothing, so it raises again."""
+        key = (frame_size, n)
+        value = self._components.get(key)
+        if value is None:
+            value = self._components[key] = predict_components(self.profile, frame_size, n)
+        return value
 
     @property
     def name(self) -> str:
@@ -223,7 +240,7 @@ def service_request(node: NodeRuntime, task: InferenceTask, now_s: float) -> Pro
             f"task {task.task_id!r} is not admitted on node {node.name!r}"
         )
     n = node.n_instances
-    cpu_ms, accel_ms = predict_components(node.profile, task.frame_size_px, n)
+    cpu_ms, accel_ms = node.components(task.frame_size_px, n)
     steps: dict[str, float] = {}
     load_ms = 0.0
     if task.service not in node.loaded_models:

@@ -51,8 +51,6 @@ class EndDevice:
     start_s: float = 0.0
 
     def validate(self) -> None:
-        if not self.id:
-            raise ConfigurationError("end-device id must be non-empty")
         if self.fps <= 0:
             raise ConfigurationError(f"end-device {self.id!r}: fps must be > 0")
         if self.qos_ms <= 0:
@@ -211,7 +209,9 @@ def validate(scenario: Scenario) -> list[str]:
         errors.append("end_devices: ids must be unique")
     for path, values in (("devices[{}].name", names), ("end_devices[{}].id", ids)):
         for i, value in enumerate(values):
-            if _ID_FORBIDDEN_RE.search(value):
+            if not value:
+                errors.append(f"{path.format(i)}: must be non-empty")
+            elif _ID_FORBIDDEN_RE.search(value):
                 errors.append(
                     f"{path.format(i)}: {value!r} may not contain ',', '\"', '|', ':' "
                     "or a control character"

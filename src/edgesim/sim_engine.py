@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -109,6 +110,7 @@ class _Frame:
 class _TaskState:
     task: InferenceTask
     device: EndDevice
+    emit_rank: int  # the queue rank of every emission of the stream
     queue: deque = field(default_factory=deque)
     busy_frame: _Frame | None = None
     migration: MigrationRecord | None = None
@@ -202,9 +204,12 @@ class Simulation:
         if not (0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         self.now = 0.0
-        self._sequence = 0
-        # entries are (time, sequence, handler, args); sequence is unique, so
-        # entries pop in (time, scheduling) order and handlers are never compared
+        self._frame_ids = itertools.count()
+        # entries are (time, rank, handler, args) and pop in (time, rank)
+        # order; no two entries share both, so handlers are never compared.
+        # An entry drawing its rank from _ranks pops after every entry
+        # already scheduled at its instant
+        self._ranks = itertools.count()
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._faults: list[FaultSpec] = []  # the non-empty windows injected so far
 
@@ -274,6 +279,18 @@ class Simulation:
         # prime every link with one probe so the matrix is total from t=0
         self.nlm.probe_all(0.0)
 
+        # fault transitions first: at a shared instant the unavailability
+        # window [at, at + duration) must already be in force for emissions
+        # and epochs
+        for fault in sorted(scenario.faults, key=lambda f: (f.at_s, f.node_id)):
+            self.inject_fault(fault.node_id, fault.at_s, fault.duration_s)
+
+        # One pending emission per stream: each emission schedules the next.
+        # All of a stream's emissions share one rank, drawn here in device-id
+        # order, so at a shared instant they run after the fault transitions,
+        # before the epochs, the run end and every entry scheduled later, and
+        # in device-id order, which is also the frame-id order.
+        duration = scenario.sim.duration_s
         for device in sorted(scenario.end_devices, key=lambda d: d.id):
             task = InferenceTask(
                 task_id=f"task-{device.id}",
@@ -283,37 +300,17 @@ class Simulation:
                 service=device.service,
                 created_at=device.start_s,
             )
-            self.tasks[task.task_id] = _TaskState(task=task, device=device)
-
-        # fault transitions first: at a shared instant the unavailability
-        # window [at, at + duration) must already be in force for emissions
-        # and epochs
-        for fault in sorted(scenario.faults, key=lambda f: (f.at_s, f.node_id)):
-            self.inject_fault(fault.node_id, fault.at_s, fault.duration_s)
-
-        emissions: list[tuple[float, str]] = []
-        for device in scenario.end_devices:
+            ts = self.tasks[task.task_id] = _TaskState(task, device, next(self._ranks))
             k = 0
-            while device.start_s + k / device.fps < scenario.sim.duration_s - _TIME_EPS:
-                emissions.append((device.start_s + k / device.fps, device.id))
+            while device.start_s + k / device.fps < duration - _TIME_EPS:
                 k += 1
-        emissions.sort()
-        for frame_id, (t, device_id) in enumerate(emissions):
-            ts = self.tasks[f"task-{device_id}"]
-            frame = _Frame(
-                frame_id=frame_id,
-                task_id=ts.task.task_id,
-                end_device_id=device_id,
-                frame_size_px=ts.task.frame_size_px,
-                qos_ms=ts.task.qos_ms,
-                emitted_at=t,
-            )
-            self._schedule(t, self._on_emit, frame)
-        self.counters["frames_generated"] = len(emissions)
+            self.counters["frames_generated"] += k
+            if k:
+                self._schedule(device.start_s, ts.emit_rank, self._on_emit, ts, 0)
 
-        for t in schedule_health_epochs(scenario.sim.health_epoch_interval_s, scenario.sim.duration_s):
-            self._schedule(t, self._on_health_epoch)
-        self._schedule(scenario.sim.duration_s, self._on_run_end)
+        for t in schedule_health_epochs(scenario.sim.health_epoch_interval_s, duration):
+            self._schedule(t, next(self._ranks), self._on_health_epoch)
+        self._schedule(duration, next(self._ranks), self._on_run_end)
 
     def inject_fault(self, node_id: str, at_s: float, duration_s: float) -> None:
         """Make a node unreachable during [at, at + duration)."""
@@ -332,12 +329,11 @@ class Simulation:
         # a window whose end rounds to its start holds no instant; its end
         # would clear the fault of another window that starts with it
         if at_s + duration_s > at_s:
-            self._schedule(at_s, self._on_fault, node_id, "start")
-            self._schedule(at_s + duration_s, self._on_fault, node_id, "end")
+            self._schedule(at_s, next(self._ranks), self._on_fault, node_id, "start")
+            self._schedule(at_s + duration_s, next(self._ranks), self._on_fault, node_id, "end")
 
-    def _schedule(self, time: float, handler: Callable[..., None], *args) -> None:
-        heapq.heappush(self._queue, (time, self._sequence, handler, args))
-        self._sequence += 1
+    def _schedule(self, time: float, rank: int, handler: Callable[..., None], *args) -> None:
+        heapq.heappush(self._queue, (time, rank, handler, args))
 
     def _add_link(self, a: str, b: str, params: StableParams) -> None:
         """Register a link with its own stream, labelled by its sorted endpoints."""
@@ -398,8 +394,21 @@ class Simulation:
 
     # -- frame path ----------------------------------------------------
 
-    def _on_emit(self, frame: _Frame) -> None:
-        ts = self.tasks[frame.task_id]
+    def _on_emit(self, ts: _TaskState, k: int) -> None:
+        """Emit the stream's k-th frame, at start + k / fps, and schedule
+        the next one if it falls inside the run."""
+        device = ts.device
+        frame = _Frame(
+            frame_id=next(self._frame_ids),
+            task_id=ts.task.task_id,
+            end_device_id=device.id,
+            frame_size_px=ts.task.frame_size_px,
+            qos_ms=ts.task.qos_ms,
+            emitted_at=device.start_s + k / device.fps,
+        )
+        next_at = device.start_s + (k + 1) / device.fps
+        if next_at < self.scenario.sim.duration_s - _TIME_EPS:
+            self._schedule(next_at, ts.emit_rank, self._on_emit, ts, k + 1)
         if ts.task.host_node is None and ts.migration is None:
             self._try_assign(ts)
         self._dispatch_or_defer(frame)
@@ -445,7 +454,7 @@ class Simulation:
         frame.dispatched_to = host
         frame.engine_wait_ms = (self.now - frame.emitted_at) * 1000.0
         frame.net_out_ms = self.nlm.sample_and_observe(host, frame.end_device_id, self.now)
-        self._schedule(self.now + frame.net_out_ms / 1000.0, self._on_at_node, frame)
+        self._schedule(self.now + frame.net_out_ms / 1000.0, next(self._ranks), self._on_at_node, frame)
 
     def _on_at_node(self, frame: _Frame) -> None:
         ts = self.tasks[frame.task_id]
@@ -469,7 +478,8 @@ class Simulation:
         frame.node = node.name
         frame.outcome = outcome
         self.busy_ms[node.name] += outcome.total_processing_ms
-        self._schedule(self.now + outcome.total_processing_ms / 1000.0, self._on_processing_complete, frame)
+        done_at = self.now + outcome.total_processing_ms / 1000.0
+        self._schedule(done_at, next(self._ranks), self._on_processing_complete, frame)
 
     def _on_processing_complete(self, frame: _Frame) -> None:
         ts = self.tasks[frame.task_id]
@@ -661,7 +671,7 @@ class Simulation:
         ts.task.host_node = None
         ts.migration = record
         self._record_instances(source)
-        self._schedule(self.now + cost / 1000.0, self._on_migration_complete, record)
+        self._schedule(self.now + cost / 1000.0, next(self._ranks), self._on_migration_complete, record)
         self._log(
             "migrate",
             f"{source}->{target}",
@@ -707,7 +717,8 @@ class Simulation:
                 )
                 record.to_node = fallback
                 record.metadata_transfer_ms += extra
-                self._schedule(self.now + extra / 1000.0, self._on_migration_complete, record)
+                retry_at = self.now + extra / 1000.0
+                self._schedule(retry_at, next(self._ranks), self._on_migration_complete, record)
                 self._log(
                     "migration-retry",
                     f"{record.from_node}->{fallback}",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesim import presets
+from edgesim import device_model, presets, sim_engine
 from edgesim.device_model import (
     DeviceProfile,
     InferenceTask,
@@ -17,6 +17,8 @@ from edgesim.device_model import (
     service_request,
 )
 from edgesim.errors import AssignmentError, ConfigurationError
+from edgesim.net_model import Nlm, StableParams
+from edgesim.orchestrator import AllocationWeights, node_weights
 
 ACCEL_600_N1 = {"upsquared": 62.65, "jetson-nano": 79.59, "coral": 71.81}
 
@@ -269,3 +271,64 @@ class TestInferenceTask:
     def test_nonpositive_qos_rejected(self):
         with pytest.raises(ConfigurationError, match="qos"):
             make_task(qos=0.0).validate()
+
+
+class TestComponentsMemo:
+    """``NodeRuntime.components`` memoizes ``predict_components`` per node."""
+
+    @pytest.mark.parametrize(
+        "build", [presets.default_scenario, presets.overload_scenario, presets.fault_scenario]
+    )
+    def test_service_request_matches_predict_components(self, build, monkeypatch):
+        served = []
+
+        def spy(node, task, now_s):
+            outcome = service_request(node, task, now_s)
+            served.append((node.profile, task.frame_size_px, outcome))
+            return outcome
+
+        monkeypatch.setattr(sim_engine, "service_request", spy)
+        sim_engine.run(build(), seed=1)
+        assert served
+        for profile, frame, outcome in served:
+            expected = predict_components(profile, frame, outcome.n_instances)
+            assert (outcome.cpu_ms, outcome.accel_ms) == expected
+
+    def test_repeated_key_computed_once(self, profiles, monkeypatch):
+        calls = []
+
+        def counted(profile, frame_size, n):
+            calls.append((frame_size, n))
+            return predict_components(profile, frame_size, n)
+
+        monkeypatch.setattr(device_model, "predict_components", counted)
+        node = NodeRuntime(profile=profiles["coral"])
+        task = make_task(frame=800)  # off the grid: interpolated
+        admit_task(node, task)
+        first = service_request(node, task, 0.0)
+        second = service_request(node, task, 1.0)
+        assert calls == [(800, 1)]
+        expected = predict_components(profiles["coral"], 800, 1)
+        assert (first.cpu_ms, first.accel_ms) == (second.cpu_ms, second.accel_ms) == expected
+
+    def test_bad_arguments_raise_on_every_call(self, profiles):
+        node = NodeRuntime(profile=profiles["coral"])
+        empty = NodeRuntime(profile=DeviceProfile(name="x", accelerator_kind="GPU", calibration={}))
+        for runtime, frame, n in ((node, 0, 1), (node, 600, 0), (empty, 600, 1)):
+            for _ in range(2):
+                with pytest.raises(ConfigurationError):
+                    runtime.components(frame, n)
+
+    def test_node_weights_same_with_warm_memo(self, profiles):
+        nlm = Nlm()
+        for i, name in enumerate(sorted(profiles)):
+            nlm.add_link(name, "rpi-1", StableParams(alpha=2.0, scale=0.01, location=5.0 + i))
+            nlm.observe(name, "rpi-1", 5.0 + i, 0.0)
+        nodes = {name: NodeRuntime(profile=p) for name, p in profiles.items()}
+
+        def weights():
+            return node_weights(nodes, sorted(nodes), 800, "rpi-1", nlm, AllocationWeights())
+
+        cold = weights()
+        assert all(node._components for node in nodes.values())
+        assert weights() == cold

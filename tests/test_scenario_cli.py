@@ -120,6 +120,19 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match=re.escape(paths[0])):
             Simulation(scenario)
 
+    def test_empty_node_name_rejected_with_path(self):
+        # an empty name used to run, reporting a node "" and links like "link::rpi-1"
+        scenario = presets.default_scenario()
+        scenario.devices[0] = dataclasses.replace(scenario.devices[0], name="")
+        assert validate(scenario) == ["devices[0].name: must be non-empty"]
+        with pytest.raises(ConfigurationError, match=re.escape("devices[0].name")):
+            Simulation(scenario)
+
+    def test_empty_end_device_id_rejected_with_path(self):
+        scenario = presets.default_scenario()
+        scenario.end_devices[0] = dataclasses.replace(scenario.end_devices[0], id="")
+        assert validate(scenario) == ["end_devices[0].id: must be non-empty"]
+
 
 class TestStrictParsing:
     def test_unknown_top_level_key_rejected(self):

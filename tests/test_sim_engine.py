@@ -497,3 +497,81 @@ class TestValidationGate:
             ("objd", "node-a"),
             ("objd", "node-b"),
         }
+
+
+def tied_streams_scenario():
+    """Streams listed out of id order whose emissions tie with each other,
+    with the epochs and with a fault start and end.
+
+    dev-1 emits at 0.5, 0.75, ..., 5.75 (22 frames) and dev-0 at 1, ..., 5
+    (5 frames; 6 s is the run end). Both emit at every whole second from 1
+    s, where an epoch also runs; node-a's fault starts at 2 s and ends at
+    3 s. dev-2 starts when the run ends and emits nothing.
+    """
+    scenario = mini_scenario(n_nodes=2, duration=6.0)
+    scenario.end_devices = [
+        EndDevice(id="dev-1", fps=4.0, frame_size_px=600, qos_ms=300.0, start_s=0.5),
+        EndDevice(id="dev-0", fps=1.0, frame_size_px=600, qos_ms=300.0, start_s=1.0),
+        EndDevice(id="dev-2", fps=2.0, frame_size_px=600, qos_ms=300.0, start_s=6.0),
+    ]
+    scenario.faults = [FaultSpec(node_id="node-a", at_s=2.0, duration_s=1.0)]
+    return scenario
+
+
+class TestLazyEmissions:
+    """Each stream keeps one pending emission in the queue; the order of
+    entries at a shared instant must not depend on when they were pushed."""
+
+    def test_frame_ids_follow_emission_time_then_device_id(self, monkeypatch):
+        frames = []
+        dispatch_or_defer = Simulation._dispatch_or_defer
+
+        def spy(sim, frame):
+            frames.append(frame)
+            return dispatch_or_defer(sim, frame)
+
+        monkeypatch.setattr(Simulation, "_dispatch_or_defer", spy)
+        report = run(tied_streams_scenario())
+        assert [f.frame_id for f in frames] == list(range(27))
+        keys = [(f.emitted_at, f.end_device_id) for f in frames]
+        assert keys == sorted(set(keys))
+        assert [t for t, d in keys if d == "dev-1"] == [0.5 + k / 4.0 for k in range(22)]
+        assert [t for t, d in keys if d == "dev-0"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert report.counters["frames_generated"] == 27
+        check_report(report)
+
+    def test_equal_time_order(self, monkeypatch):
+        kinds = {"_on_fault": 0, "_on_emit": 1, "_on_health_epoch": 2, "_on_run_end": 3}
+        handled = []
+        handle = Simulation._handle
+
+        def spy(sim, time, handler, args):
+            handled.append((time, kinds.get(handler.__name__, 4)))
+            return handle(sim, time, handler, args)
+
+        monkeypatch.setattr(Simulation, "_handle", spy)
+        run(tied_streams_scenario())
+        assert handled == sorted(handled)
+        assert [k for t, k in handled if t == 2.0] == [0, 1, 1, 2]
+        assert [k for t, k in handled if t == 3.0] == [0, 1, 1, 2]
+        assert [k for t, k in handled if t == 6.0] == [2, 3]
+
+    def test_queue_at_start_holds_one_entry_per_emitting_stream(self):
+        sim = Simulation(tied_streams_scenario())
+        # 2 emitting streams, 6 epochs, the run end and 2 fault transitions
+        assert len(sim._queue) == 2 + 6 + 1 + 2
+        emitting = sorted(args[0].device.id for _, _, handler, args in sim._queue if handler == sim._on_emit)
+        assert emitting == ["dev-0", "dev-1"]
+        assert sim.counters["frames_generated"] == 22 + 5
+
+    def test_no_emission_left_after_run(self):
+        # a 2 s end-device link leaves arrivals queued at the run end
+        scenario = tied_streams_scenario()
+        scenario.network.edge_device = dataclasses.replace(scenario.network.edge_device, location=2000.0)
+        sim = Simulation(scenario)
+        report = sim.run()
+        assert sim._queue
+        assert all(handler != sim._on_emit for _, _, handler, _ in sim._queue)
+        frames = [arg for *_, args in sim._queue for arg in args if isinstance(arg, _Frame)]
+        assert frames and all(f.dispatched_at is not None for f in frames)
+        check_report(report)
