@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +23,12 @@ EMA_HORIZONS_S = (60.0, 300.0, 900.0)
 DEFAULT_FLOOR_MS = 0.1
 DEFAULT_LINK_BUDGET_MS = 50.0
 
-#: Largest block a link's buffer computes at once. Blocks double from 1 up
-#: to this cap, so a link drawn once (the setup probe) computes one value.
+#: Latencies in a link's row of the ``Nlm`` draw buffer, computed together
+#: when the row is refilled. An ``Nlm`` reads it when it is built.
 _BLOCK_CAP = 64
 
-#: Most links whose buffers ``Nlm.probe_all`` refills in one transform; it
-#: bounds the temporaries at 512 * _BLOCK_CAP values.
+#: Most rows ``Nlm._refill`` transforms in one batch; it bounds the
+#: temporaries at 512 * _BLOCK_CAP values.
 _REFILL_CHUNK = 512
 
 
@@ -96,7 +96,7 @@ def sample_stable_many(
     every transform is elementwise, so a vectorized call returns exactly
     (bit for bit) the values of n successive scalar calls on the same
     stream, and splitting n draws into blocks of any sizes changes none of
-    them. ``LinkState`` relies on this to draw in blocks. Clamping (rather
+    them. ``Nlm`` relies on this to draw in rows. Clamping (rather
     than resampling) keeps the draw count deterministic.
     """
     params.validate()
@@ -205,60 +205,16 @@ def composite_score(state: EmaState, weights: EmaWeights) -> float:
 
 @dataclass(slots=True)
 class LinkState:
-    """A link's constants, its generator and its draw buffer.
+    """A link's constants and ``rng``, the generator its draws come from.
 
-    ``rng`` is the link's own generator. ``draw()`` reads latencies from a
-    block buffer that ``sample_stable_many`` refills on demand, with block
-    sizes doubling from 1 up to ``_BLOCK_CAP``. Because a block equals the
-    same number of successive scalar draws, the values drawn do not depend
-    on the block sizes; the buffer only saves per-call overhead. The EMAs
-    live in the ``Nlm`` link table.
+    The draws themselves are buffered, and the EMAs kept, in the ``Nlm``
+    link table; ``floor_ms`` and ``params`` are read when a row is refilled.
     """
 
     params: StableParams
     floor_ms: float = DEFAULT_FLOOR_MS
     budget_ms: float = DEFAULT_LINK_BUDGET_MS
     rng: np.random.Generator | None = None
-    _buffer: array = field(default_factory=lambda: array("d"), init=False, repr=False)
-    _cursor: int = field(default=0, init=False, repr=False)
-    _block: int = field(default=1, init=False, repr=False)
-
-    def draw(self) -> float:
-        """Next latency in ms from this link's stream."""
-        if self._cursor == len(self._buffer):
-            self._load(sample_stable_many(self.params, self._generator(), self._block, self.floor_ms))
-        value = self._buffer[self._cursor]
-        self._cursor += 1
-        return value
-
-    def _generator(self) -> np.random.Generator:
-        if self.rng is None:
-            raise ConfigurationError("link has no random generator to draw from")
-        return self.rng
-
-    def _load(self, block: np.ndarray) -> None:
-        """Make ``block`` the buffer and grow the next block, up to the cap."""
-        self._buffer = array("d", block.tobytes())
-        self._cursor = 0
-        self._block = min(2 * self._block, _BLOCK_CAP)
-
-
-def _refill(links: list[LinkState]) -> None:
-    """Refill the buffers of ``links`` as ``draw()`` would, one transform
-    per (params, floor). Each link draws its own uniforms from its own
-    stream, and the transform is elementwise, so every value equals the
-    one ``draw()`` would compute."""
-    groups: dict[tuple[StableParams, float], list[LinkState]] = {}
-    for link in links:
-        groups.setdefault((link.params, link.floor_ms), []).append(link)
-    for (params, floor_ms), members in groups.items():
-        params.validate()
-        blocks = [link._generator().random((link._block, 2)) for link in members]
-        values = _transform(params, np.concatenate(blocks), floor_ms)
-        start = 0
-        for link, block in zip(members, blocks):
-            link._load(values[start : start + len(block)])
-            start += len(block)
 
 
 class Nlm:
@@ -269,8 +225,10 @@ class Nlm:
     EMAs, last update time and latest sample of every link are columns
     indexed by that number: ``array`` columns, so a single link is read
     and written as cheaply as a Python float, which ``probe_all`` views as
-    numpy arrays to fold a whole epoch at once. Owned by the event loop;
-    queries are pure reads.
+    numpy arrays to fold a whole epoch at once. So is the draw buffer: row
+    i holds ``_BLOCK_CAP`` latencies of link i's stream, the next one at
+    column ``_cursor[i]``; a row whose cursor is the width is empty. Owned
+    by the event loop; queries are pure reads.
     """
 
     def __init__(self, weights: EmaWeights | None = None):
@@ -284,6 +242,9 @@ class Nlm:
         self._latest_ms = array("d")
         self._initialized = array("B")
         self._columns = (*self._emas, self._last_update, self._latest_ms, self._initialized)
+        self._width = _BLOCK_CAP
+        self._draws = array("d")
+        self._cursor = array("q")
 
     def add_link(
         self,
@@ -308,10 +269,14 @@ class Nlm:
             self._links.append(state)
             for column in self._columns:
                 column.append(0)
+            # frombytes, not extend: extend(bytes(n)) appends n doubles
+            self._draws.frombytes(bytes(8 * self._width))
+            self._cursor.append(self._width)
         else:
             self._links[i] = state
             for column in self._columns:
                 column[i] = 0
+            self._cursor[i] = self._width
         self._pairs = None
 
     def has_link(self, a: str, b: str) -> bool:
@@ -354,7 +319,13 @@ class Nlm:
 
     def sample_and_observe(self, a: str, b: str, now_s: float) -> float:
         """Draw one latency from the link's stream and fold it into the EMAs."""
-        sample = self.link(a, b).draw()
+        i = self._index(a, b)
+        cursor = self._cursor[i]
+        if cursor == self._width:
+            self._refill([i])
+            cursor = 0
+        self._cursor[i] = cursor + 1
+        sample = self._draws[i * self._width + cursor]
         self.observe(a, b, sample, now_s)
         return sample
 
@@ -362,16 +333,23 @@ class Nlm:
         """Draw one latency on every link and fold it in, in one pass.
 
         Each link gets the values ``sample_and_observe`` would give it:
-        exhausted buffers are refilled together in chunks of at most
-        ``_REFILL_CHUNK`` links, ``exp`` is ``math.exp`` once per distinct
-        elapsed time and horizon, and the fold is the same IEEE arithmetic
-        on arrays. Raises ``TimeRegressionError``, changing nothing, if a
-        link was updated after ``now_s``.
+        empty rows are refilled first, then every link takes the value at
+        its cursor; ``exp`` is ``math.exp`` once per distinct elapsed time
+        and horizon, and the fold is the same IEEE arithmetic on arrays.
+        Raises ``TimeRegressionError`` if a link was updated after
+        ``now_s``, or ``ConfigurationError`` if a link due for a refill has
+        no generator, changing nothing either way.
         """
         _check_order(now_s, self._last_sampled())
-        samples = np.array(self._next_draws(), dtype=float)
+        empty = np.flatnonzero(np.frombuffer(self._cursor, dtype=np.int64) == self._width)
+        if len(empty):
+            self._refill(empty.tolist())
         # numpy views of the columns; nothing below raises, so no view
         # outlives the call to block a later add_link from growing them
+        n = len(self._links)
+        cursor = np.frombuffer(self._cursor, dtype=np.int64)
+        samples = np.frombuffer(self._draws).reshape(n, self._width)[np.arange(n), cursor]
+        cursor += 1
         initialized = np.frombuffer(self._initialized, dtype=bool)
         last = np.frombuffer(self._last_update)
         distinct, rows = np.unique(now_s - last, return_inverse=True)
@@ -389,23 +367,33 @@ class Nlm:
         last = np.frombuffer(self._last_update)
         return last[np.frombuffer(self._initialized, dtype=bool)].max(initial=-math.inf).item()
 
-    def _next_draws(self) -> list[float]:
-        """Every link's next latency, in link-number order."""
-        values = []
-        empty = []
-        for i, link in enumerate(self._links):
-            if link._cursor == len(link._buffer):
-                empty.append(i)
-                values.append(0.0)
-            else:
-                values.append(link._buffer[link._cursor])
-                link._cursor += 1
-        for start in range(0, len(empty), _REFILL_CHUNK):
-            chunk = empty[start : start + _REFILL_CHUNK]
-            _refill([self._links[i] for i in chunk])
-            for i in chunk:
-                values[i] = self._links[i].draw()
-        return values
+    def _refill(self, rows: list[int]) -> None:
+        """Fill the rows of the links numbered ``rows`` and rewind their
+        cursors.
+
+        Each link draws a row's width of (u, w) pairs from its own stream,
+        so its row holds that stream's next scalar draws. The transform is
+        elementwise, so the links sharing (params, floor) share one call
+        per ``_REFILL_CHUNK`` rows. Every link is checked before any draws,
+        and no view is taken until then, so a raise changes nothing.
+        """
+        groups: dict[tuple[StableParams, float], list[int]] = {}
+        for i in rows:
+            link = self._links[i]
+            if link.rng is None:
+                raise ConfigurationError("link has no random generator to draw from")
+            groups.setdefault((link.params, link.floor_ms), []).append(i)
+        for params, _ in groups:
+            params.validate()
+        width = self._width
+        table = np.frombuffer(self._draws).reshape(-1, width)
+        for (params, floor_ms), members in groups.items():
+            for start in range(0, len(members), _REFILL_CHUNK):
+                chunk = members[start : start + _REFILL_CHUNK]
+                uniforms = np.concatenate([self._links[i].rng.random((width, 2)) for i in chunk])
+                table[chunk] = _transform(params, uniforms, floor_ms).reshape(-1, width)
+                for i in chunk:
+                    self._cursor[i] = 0
 
     def ema(self, a: str, b: str) -> EmaState:
         """The link's EMAs as a value."""

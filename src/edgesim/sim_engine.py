@@ -418,7 +418,9 @@ class Simulation:
         statuses = self._statuses()
         reachable = {name: s.reachable for name, s in statuses.items()}
         candidates = discovery.resolve(self.registry, ts.task.service, ts.device.id, self.nlm, reachable)
-        chosen = self._place(ts, {n: statuses[n] for n in candidates})
+        # placement filters health itself: the registry's flags come from the
+        # same system states, so it keeps exactly the nodes resolved here
+        chosen = self._place(ts, statuses)
         if chosen is None:
             return None
         admit_task(self.nodes[chosen], ts.task)

@@ -12,7 +12,6 @@ from edgesim.errors import ConfigurationError, NotReadyError, TimeRegressionErro
 from edgesim.net_model import (
     EmaState,
     EmaWeights,
-    LinkState,
     Nlm,
     StableParams,
     composite_score,
@@ -102,8 +101,9 @@ class TestLinkBuffer:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 63, 64, 65, 200])
     def test_buffered_draws_equal_scalar_draws(self, branch, k):
         params = CMS_BRANCHES[branch]
-        link = LinkState(params=params, floor_ms=NO_FLOOR, rng=np.random.default_rng(11))
-        buffered = np.array([link.draw() for _ in range(k)])
+        nlm = Nlm()
+        nlm.add_link("edge-a", "cam-1", params, floor_ms=NO_FLOOR, rng=np.random.default_rng(11))
+        buffered = np.array([nlm.sample_and_observe("edge-a", "cam-1", 0.0) for _ in range(k)])
         gen = np.random.default_rng(11)
         scalars = np.array([sample_stable(params, gen, floor_ms=NO_FLOOR) for _ in range(k)])
         assert np.array_equal(buffered, scalars)
@@ -315,8 +315,9 @@ def probe_scripts(draw):
 
 
 class TestProbeAll:
-    """``Nlm.probe_all`` against each link run alone through ``LinkState.draw``
-    and ``ema_update``: the values must be the same to the bit."""
+    """``Nlm.probe_all`` against each link run alone through ``sample_stable``
+    and ``ema_update`` on its own generator: the values must be the same to
+    the bit."""
 
     @given(
         script=probe_scripts(),
@@ -326,23 +327,23 @@ class TestProbeAll:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_link_reference(self, script, cap, chunk):
         links, steps = script
-        nlm = Nlm()
         reference = []
-        for i, (branch, floor_ms) in enumerate(links):
-            params = CMS_BRANCHES[branch]
-            nlm.add_link(f"edge-{i}", f"cam-{i}", params, floor_ms=floor_ms, rng=np.random.default_rng(i))
-            ref_link = LinkState(params=params, floor_ms=floor_ms, rng=np.random.default_rng(i))
-            reference.append([ref_link, EmaState(), None])
 
         def ref_step(i, now_s):
-            ref_link, ema, _ = reference[i]
-            sample = ref_link.draw()
+            (branch, floor_ms), (gen, ema, _) = links[i], reference[i]
+            sample = sample_stable(CMS_BRANCHES[branch], gen, floor_ms=floor_ms)
             reference[i][1:] = [ema_update(ema, sample, now_s), sample]
             return sample
 
         with mock.patch.object(net_model, "_BLOCK_CAP", cap), mock.patch.object(
             net_model, "_REFILL_CHUNK", chunk
         ):
+            # the row width is read when the table is built
+            nlm = Nlm()
+            for i, (branch, floor_ms) in enumerate(links):
+                params = CMS_BRANCHES[branch]
+                nlm.add_link(f"edge-{i}", f"cam-{i}", params, floor_ms=floor_ms, rng=np.random.default_rng(i))
+                reference.append([np.random.default_rng(i), EmaState(), None])
             for kind, now_s, leg in steps:
                 if kind == "probe":
                     nlm.probe_all(now_s)
@@ -370,14 +371,29 @@ class TestProbeAll:
         assert (nlm.ema("edge-a", "cam-1"), nlm.ema("edge-a", "cam-2")) == before
         # no draw was consumed either: the next probe takes each link's next value
         nlm.probe_all(6.0)
-        ref = LinkState(params=params, rng=np.random.default_rng(1))
-        assert nlm.latest_ms("edge-a", "cam-1") == ref.draw()
+        assert nlm.latest_ms("edge-a", "cam-1") == sample_stable(params, np.random.default_rng(1))
 
     def test_link_without_generator_cannot_be_probed(self):
         nlm = Nlm()
         nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
         with pytest.raises(ConfigurationError, match="generator"):
             nlm.probe_all(0.0)
+
+    def test_failed_probe_changes_nothing(self):
+        params = StableParams(alpha=2.0)
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", params, rng=np.random.default_rng(0))
+        nlm.add_link("edge-a", "edge-c", params)
+        with pytest.raises(ConfigurationError, match="generator") as failed:
+            nlm.probe_all(0.0)
+        # ``failed`` still holds the traceback: a numpy view kept by one of
+        # its frames would make growing the columns raise BufferError
+        nlm.add_link("edge-a", "edge-c", params, rng=np.random.default_rng(1))
+        nlm.add_link("edge-a", "edge-d", params, rng=np.random.default_rng(2))
+        assert failed.traceback
+        # edge-a<->edge-b drew nothing in the failed probe
+        nlm.probe_all(1.0)
+        assert nlm.latest_ms("edge-a", "edge-b") == sample_stable(params, np.random.default_rng(0))
 
     def test_empty_matrix_probe_is_a_no_op(self):
         Nlm().probe_all(1.0)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from edgesim import net_model, presets
+from edgesim import discovery, net_model, orchestrator, presets
 from edgesim.device_model import DeviceProfile
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
@@ -104,6 +104,52 @@ class TestBlockBuffering:
         monkeypatch.setattr(net_model, "_BLOCK_CAP", 1)
         # digests, not the reports, so a failure does not diff megabytes
         assert report_sha256() == buffered
+
+
+def late_streams_during_fault():
+    # node-b is down from 5 s to 11 s when half of the streams start
+    scenario = weighted_fault_scenario()
+    for device in scenario.end_devices[1::2]:
+        device.start_s = 6.0
+    return scenario
+
+
+def late_stream_during_critical():
+    # jetson-nano is system-critical from 16 s to 17 s at seed 1
+    scenario = presets.overload_scenario()
+    scenario.end_devices.append(dataclasses.replace(scenario.end_devices[0], id="rpi-late", start_s=16.5))
+    return scenario
+
+
+class TestInitialPlacement:
+    @pytest.mark.parametrize(
+        "build, filtered",
+        [
+            (presets.default_scenario, False),
+            (presets.overload_scenario, False),
+            (presets.fault_scenario, False),
+            (weighted_fault_scenario, False),
+            (late_streams_during_fault, True),
+            (late_stream_during_critical, True),
+        ],
+    )
+    def test_resolved_candidates_are_the_eligible_nodes(self, build, filtered, monkeypatch):
+        # placement filters health once, in the placement rule; the logged
+        # discovery candidates must be the nodes that rule keeps
+        sim = Simulation(build(), seed=1)
+        resolve = discovery.resolve
+        calls = []
+
+        def checked(*args):
+            candidates = resolve(*args)
+            calls.append(sorted(candidates))
+            assert calls[-1] == orchestrator._eligible(sim._statuses())
+            return candidates
+
+        monkeypatch.setattr(discovery, "resolve", checked)
+        sim.run()
+        assert calls
+        assert any(len(c) < len(sim.nodes) for c in calls) == filtered
 
 
 class TestArrivalCounting:
