@@ -4,16 +4,20 @@ Outputs per run: ``report.json`` (full metrics), ``frames.csv`` (one row
 per completed frame, sorted by completion time then frame id),
 ``decisions.log`` (orchestrator decision entries, one JSON object per
 line), and ``summary.txt``. Files are written atomically. ``report.json``
-is streamed to disk as it is encoded, never built whole in memory, in the
-same bytes as ``json.dumps(report.to_dict(), sort_keys=True, indent=2)``
-plus a newline. Verbosity is controlled by the ``EDGESIM_LOG`` environment
-variable (error|info|debug).
+holds the bytes of ``json.dumps(report.to_dict(), sort_keys=True,
+indent=2)`` plus a newline, and no list or object section of it is built
+whole: each goes to disk a chunk of elements at a time. A flat row (str
+keys; str, int or finite float values) is filled into a cached
+%-template; any other element goes through ``json.dumps`` on its own.
+Verbosity is controlled by the ``EDGESIM_LOG`` environment variable
+(error|info|debug).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -21,7 +25,8 @@ import os
 import re
 import sys
 import tempfile
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -121,147 +126,93 @@ def summary_text(report: MetricsReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON in the layout of json.dumps(value, sort_keys=True, indent=2), streamed
+# report.json, written a chunk of section elements at a time
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-#: pieces of text gathered before one write to the file
-_CHUNK = 4096
+#: section elements per write: 256 frame rows are about 160 kB of text
+_CHUNK = 256
 
-_FRAME_FIELDS = sorted(f.name for f in dataclasses.fields(FrameRecord))
+_FRAME_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(FrameRecord)))
 _FRAME_VALUES = attrgetter(*_FRAME_FIELDS)
 
 
-def _scalar_text(value: object) -> str | None:
-    """The JSON text of a str, int, float, bool or None; None for anything
-    else, subclasses of these types included."""
-    kind = type(value)
-    if kind is str:
-        return _ESCAPE(value)
-    if kind is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    return None
+def _dumps(value: object, level: int) -> str:
+    """The reference encoder's text of ``value`` nested ``level`` deep, a
+    ``FrameRecord`` as ``dict(vars(record))``, or its TypeError. Its strings
+    hold no raw newline, so re-indenting is safe."""
+    if isinstance(value, FrameRecord):
+        value = dict(vars(value))
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _frame_template(kinds: tuple[type, ...], level: int) -> tuple[str, tuple[int, ...], tuple[int, ...]] | None:
-    """The %-template of a frame row nested ``level`` deep whose values, in
-    ``_FRAME_FIELDS`` order, have exactly these types, with the positions
-    of its str and its float values; None unless every type is one of
-    str, int and float."""
+@functools.lru_cache(maxsize=256)
+def _row_plan(names: tuple, kinds: tuple) -> tuple | None:
+    """For a section element with these keys and value types, in its own
+    order: its %-template, a getter of its values in sorted key order, and
+    the positions of its str and its float values there. None unless it is
+    a flat row: two or more str keys, every value a str, int or float."""
+    if len(names) < 2 or not all(type(name) is str for name in names):
+        return None
     if not all(kind is str or kind is int or kind is float for kind in kinds):
         return None
-    pad = "\n" + "  " * (level + 1)
-    body = ",".join(
-        f"{pad}{_ESCAPE(name)}: {'%s' if kind is str else '%r'}" for name, kind in zip(_FRAME_FIELDS, kinds)
-    )
+    names, kinds = zip(*sorted(zip(names, kinds)))
+    # a key is template text, so its own % signs are doubled
+    keys = [_ESCAPE(name).replace("%", "%%") for name in names]
+    body = ",".join(f"\n      {key}: {'%s' if kind is str else '%r'}" for key, kind in zip(keys, kinds))
     strings = tuple(i for i, kind in enumerate(kinds) if kind is str)
     floats = tuple(i for i, kind in enumerate(kinds) if kind is float)
-    return "{" + body + "\n" + "  " * level + "}", strings, floats
+    return "{" + body + "\n    }", itemgetter(*names), strings, floats
 
 
-class _JsonWriter:
-    """Writes values to a text handle in the bytes of
-    ``json.dumps(value, sort_keys=True, indent=2)``. A ``FrameRecord``,
-    subclasses included, is written as ``dict(vars(record))`` would be."""
-
-    def __init__(self, handle: TextIO):
-        self._handle = handle
-        self._parts: list[str] = []
-        self._templates: dict[tuple, tuple | None] = {}
-
-    def flush(self) -> None:
-        self._handle.write("".join(self._parts))
-        self._parts.clear()
-
-    def value(self, value: object, level: int = 0) -> None:
-        """Write ``value`` nested ``level`` containers deep."""
-        parts = self._parts
-        kind = type(value)
-        if kind is FrameRecord:
-            row = self._frame_row(value, level)
-            if row is not None:
-                parts.append(row)
-                return
-            value = dict(vars(value))
-            kind = dict
-        if kind is dict and all(type(key) is str for key in value):
-            if not value:
-                parts.append("{}")
-                return
-            pad = "\n" + "  " * (level + 1)
-            sep = "{" + pad
-            for key in sorted(value):
-                item = value[key]
-                text = _scalar_text(item)
-                if text is None:
-                    parts.append(sep + _ESCAPE(key) + ": ")
-                    self.value(item, level + 1)
-                else:
-                    parts.append(sep + _ESCAPE(key) + ": " + text)
-                sep = "," + pad
-                if len(parts) >= _CHUNK:
-                    self.flush()
-            parts.append("\n" + "  " * level + "}")
-        elif kind is list or kind is tuple:
-            if not value:
-                parts.append("[]")
-                return
-            pad = "\n" + "  " * (level + 1)
-            sep = "[" + pad
-            for item in value:
-                parts.append(sep)
-                self.value(item, level + 1)
-                sep = "," + pad
-                if len(parts) >= _CHUNK:
-                    self.flush()
-            parts.append("\n" + "  " * level + "]")
-        else:
-            text = _scalar_text(value)
-            if text is not None:
-                parts.append(text)
-            elif isinstance(value, FrameRecord):
-                self.value(dict(vars(value)), level)
-            else:
-                # anything else, subclasses of the plain types included, goes
-                # to the reference encoder, which also raises its TypeError;
-                # its strings hold no raw newline, so re-indenting is safe
-                parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level))
-
-    def _frame_row(self, record: FrameRecord, level: int) -> str | None:
-        """A frame record filled into the template for the exact types of
-        its values; None if there is none or a float is not finite."""
-        values = _FRAME_VALUES(record)
-        key = (tuple(map(type, values)), level)
-        if key not in self._templates:
-            self._templates[key] = _frame_template(*key)
-        plan = self._templates[key]
-        if plan is None:
-            return None
-        template, strings, floats = plan
-        # the sum of finite floats may overflow, but any NaN or infinity
-        # makes it non-finite; an overflow only costs the generic path
-        if floats and not math.isfinite(sum([values[i] for i in floats])):
-            return None
-        args = list(values)
-        for i in strings:
-            args[i] = _ESCAPE(args[i])
-        return template % tuple(args)
+def _element_text(item: object) -> str:
+    """A section element, nested two deep: a flat row filled into its
+    template, anything else, a float that is not finite included, through
+    the reference encoder."""
+    kind, plan = type(item), None
+    if kind is FrameRecord:
+        values = _FRAME_VALUES(item)
+        plan = _row_plan(_FRAME_FIELDS, tuple(map(type, values)))
+    elif kind is dict:
+        plan = _row_plan(tuple(item), tuple(map(type, item.values())))
+    if plan is None:
+        return _dumps(item, 2)
+    template, getter, strings, floats = plan
+    if kind is dict:
+        values = getter(item)
+    # the sum of finite floats may overflow, but any NaN or infinity makes
+    # it non-finite; an overflow only costs the reference encoder
+    if floats and not math.isfinite(sum([values[i] for i in floats])):
+        return _dumps(item, 2)
+    args = list(values)
+    for i in strings:
+        args[i] = _ESCAPE(args[i])
+    return template % tuple(args)
 
 
 def write_report_json(report: MetricsReport, handle: TextIO) -> None:
     """Stream ``report.json``: the bytes of
-    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"``."""
-    writer = _JsonWriter(handle)
-    writer.value(report.sections())
-    writer.flush()
-    handle.write("\n")
+    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"``. A
+    non-empty list section, or object section with str keys, goes out a
+    chunk of elements at a time; any other section through the encoder."""
+    sep = "{"
+    for name, section in sorted(report.sections().items()):
+        handle.write(f"{sep}\n  {_ESCAPE(name)}: ")
+        sep = ","
+        kind = type(section)
+        if (kind is list or kind is tuple) and section:
+            brackets, texts = "[]", map(_element_text, section)
+        elif kind is dict and section and all(type(key) is str for key in section):
+            brackets, texts = "{}", (_ESCAPE(key) + ": " + _element_text(section[key]) for key in sorted(section))
+        else:
+            handle.write(_dumps(section, 1))
+            continue
+        lead = brackets[0]
+        while chunk := list(islice(texts, _CHUNK)):
+            handle.write(lead + "\n    ")
+            handle.write(",\n    ".join(chunk))
+            lead = ","
+        handle.write("\n  " + brackets[1])
+    handle.write("\n}\n")
 
 
 def write_outputs(report: MetricsReport, out_dir: Path, fmt: str) -> None:

@@ -318,15 +318,17 @@ class Nlm:
         self._latest_ms[i] = sample_ms
 
     def sample_and_observe(self, a: str, b: str, now_s: float) -> float:
-        """Draw one latency from the link's stream and fold it into the EMAs."""
+        """Draw one latency from the link's stream and fold it into the EMAs.
+        The cursor moves only once the fold has succeeded, so a leg that
+        raises ``TimeRegressionError`` leaves the next draw where it was."""
         i = self._index(a, b)
         cursor = self._cursor[i]
         if cursor == self._width:
             self._refill([i])
             cursor = 0
-        self._cursor[i] = cursor + 1
         sample = self._draws[i * self._width + cursor]
         self.observe(a, b, sample, now_s)
+        self._cursor[i] = cursor + 1
         return sample
 
     def probe_all(self, now_s: float) -> None:

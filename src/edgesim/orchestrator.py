@@ -140,9 +140,10 @@ def select_offload_target(
     )
 
 
-def pick_victim(profiler: ProfilerState) -> str | None:
-    """Instance with the highest latest latency; ties take the smaller id."""
-    latest = {tid: profiler.latest(tid) for tid in profiler.task_ids()}
+def pick_victim(profiler: ProfilerState, among: Iterable[str] | None = None) -> str | None:
+    """Instance with the highest latest latency, of ``among`` if given;
+    ties take the smaller id."""
+    latest = {tid: profiler.latest(tid) for tid in (profiler.task_ids() if among is None else among)}
     return _lowest((tid for tid, ms in latest.items() if ms is not None), lambda t: -latest[t])
 
 

@@ -603,16 +603,18 @@ class Simulation:
                 if victim is not None and self.tasks[victim].migration is None:
                     self._migrate_or_count(self.tasks[victim], name, TRIGGER_SYSTEM)
         for name in sorted(self.nodes):
-            node = self.nodes[name]
-            if node.faulted or self.health[name].system_state == CRITICAL:
+            node, health = self.nodes[name], self.health[name]
+            if node.faulted or health.system_state == CRITICAL:
                 continue
-            for tid in sorted(self.health[name].app_states):
-                if (
-                    self.health[name].app_states[tid] == CRITICAL
-                    and tid in node.active_tasks
-                    and self.tasks[tid].migration is None
-                ):
-                    self._migrate_or_count(self.tasks[tid], name, TRIGGER_APP)
+            # one app-critical instance per node and epoch; the rest wait
+            critical = [
+                tid
+                for tid, state in health.app_states.items()
+                if state == CRITICAL and tid in node.active_tasks and self.tasks[tid].migration is None
+            ]
+            victim = pick_victim(self.profilers[name], critical)
+            if victim is not None:
+                self._migrate_or_count(self.tasks[victim], name, TRIGGER_APP)
 
     def _place(
         self,

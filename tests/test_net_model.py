@@ -108,6 +108,20 @@ class TestLinkBuffer:
         scalars = np.array([sample_stable(params, gen, floor_ms=NO_FLOOR) for _ in range(k)])
         assert np.array_equal(buffered, scalars)
 
+    # after one leg the cursor is mid-row; after 64 the failed leg refills
+    @pytest.mark.parametrize("before", [1, 64])
+    def test_failed_leg_consumes_no_draw(self, before):
+        params = StableParams(alpha=2.0)
+        nlm = Nlm()
+        nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(0))
+        gen = np.random.default_rng(0)
+        stream = [sample_stable(params, gen) for _ in range(before + 1)]
+        assert [nlm.sample_and_observe("edge-a", "cam-1", 5.0) for _ in range(before)] == stream[:before]
+        with pytest.raises(TimeRegressionError):
+            nlm.sample_and_observe("edge-a", "cam-1", 4.0)
+        assert nlm.latest_ms("edge-a", "cam-1") == stream[before - 1]
+        assert nlm.sample_and_observe("edge-a", "cam-1", 6.0) == stream[before]
+
     def test_link_without_generator_cannot_draw(self):
         nlm = Nlm()
         nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))

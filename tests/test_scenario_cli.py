@@ -452,14 +452,6 @@ def streamed_json(report: MetricsReport) -> str:
     return buf.getvalue()
 
 
-def generic_json(value) -> str:
-    buf = io.StringIO()
-    writer = cli._JsonWriter(buf)
-    writer.value(value)
-    writer.flush()
-    return buf.getvalue()
-
-
 class Level(enum.IntEnum):
     HIGH = 2
 
@@ -516,18 +508,21 @@ def odd_report(frames, decision_log) -> MetricsReport:
     )
 
 
+#: leaves that keep a row off its template: null, booleans, NaN and
+#: ±Infinity among the floats, and subclasses of the plain types
+ODD_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from(list(Level))
+)
+
+
 def json_trees():
     """JSON-like values, with subclasses and non-str keys that the
     writer leaves to the reference encoder."""
-    leaves = (
-        st.none()
-        | st.booleans()
-        | st.integers()
-        | st.floats()
-        | st.text()
-        | st.floats().map(np.float64)
-        | st.sampled_from(list(Level))
-    )
+    leaves = ODD_LEAVES | st.integers() | st.text()
     return st.recursive(
         leaves,
         lambda children: st.lists(children, max_size=4)
@@ -536,6 +531,20 @@ def json_trees():
         | st.dictionaries(st.integers(), children, max_size=3),
         max_leaves=24,
     )
+
+
+def row_values():
+    """Mostly the str, int and finite float values of a flat row, ints in
+    float slots included, with an odd value now and then."""
+    return st.one_of(st.text(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), ODD_LEAVES)
+
+
+def section_elements():
+    """Rows whose keys arrive in random order, and nested trees."""
+    return st.dictionaries(st.text(max_size=4), row_values(), max_size=5) | json_trees()
+
+
+FRAME_FIELDS = [f.name for f in dataclasses.fields(FrameRecord)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -566,6 +575,13 @@ class TestStreamedReport:
     @pytest.mark.parametrize("text", AWKWARD)
     def test_awkward_strings_in_frame_rows_and_sections(self, text):
         report = odd_report([odd_frame(task_id=text, state=text)], [{text: text, "at": [text]}])
+        assert streamed_json(report) == reference_json(report)
+
+    def test_percent_signs_in_row_keys(self):
+        # a row's keys are written into its %-template
+        rows = [{"%": "a", "b%s": 1, "%%r": 2.5}, {"%(x)s": "%s", "y": "%"}]
+        report = odd_report([odd_frame()], rows)
+        report.nlm_snapshot = {"%": {"%d": "", "": "%"}}
         assert streamed_json(report) == reference_json(report)
 
     @pytest.mark.parametrize(
@@ -606,9 +622,15 @@ class TestStreamedReport:
             streamed_json(report)
 
     @settings(max_examples=300, deadline=None)
-    @given(json_trees())
-    def test_generic_path_matches_the_reference_encoder(self, value):
-        assert generic_json(value) == json.dumps(value, sort_keys=True, indent=2)
+    @given(
+        frames=st.lists(st.dictionaries(st.sampled_from(FRAME_FIELDS), row_values(), max_size=4), max_size=3),
+        decisions=st.lists(section_elements(), max_size=4),
+        links=st.dictionaries(st.text(max_size=4), section_elements(), max_size=3),
+    )
+    def test_random_sections_match_the_reference_encoder(self, frames, decisions, links):
+        report = odd_report([odd_frame(**values) for values in frames], decisions)
+        report.nlm_snapshot = links
+        assert streamed_json(report) == reference_json(report)
 
     def test_failed_stream_leaves_the_old_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "report.json"

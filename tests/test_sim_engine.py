@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from edgesim import discovery, net_model, orchestrator, presets
-from edgesim.device_model import DeviceProfile
+from edgesim.device_model import DeviceProfile, admit_task
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
@@ -299,6 +299,26 @@ class TestSaturation:
         q = next(e["t"] for e in events if e["event"] == "quarantine")
         releases = [e["t"] for e in events if e["event"] == "release" and e["t"] > q]
         assert releases and releases[0] - q >= 5.0  # default cool-down
+
+
+class TestOneVictimPerEpoch:
+    def test_one_app_critical_instance_moves_per_node_and_epoch(self):
+        # three streams on node-a; two are app-critical (>= 270 of 300 ms)
+        # while the node's mean, 230 ms, is only in warning
+        sim = Simulation(mini_scenario(n_nodes=2, n_devices=3, duration=10.0))
+        for ts in sim.tasks.values():
+            admit_task(sim.nodes["node-a"], ts.task)
+            sim.profilers["node-a"].register_task(ts.task.task_id, ts.task.qos_ms)
+        for tid, latency in zip(sorted(sim.tasks), (280.0, 290.0, 120.0)):
+            sim.profilers["node-a"].record_inference(tid, latency, 0.0)
+        sim.now = 1.0
+        sim._on_health_epoch()
+        assert sim.health["node-a"].system_state == "warning"
+        assert sorted(sim.health["node-a"].app_states.values()) == ["critical", "critical", "pass"]
+        # the slower of the two moves now; the other waits for a later epoch
+        moves = [(e["decision"], e["reason"]) for e in sim.decision_log if e["kind"] == "migrate"]
+        assert moves == [("node-a->node-b", "app-critical")]
+        assert [tid for tid, ts in sorted(sim.tasks.items()) if ts.migration is not None] == ["task-dev-1"]
 
 
 class TestMigrationMechanics:
