@@ -400,21 +400,21 @@ class Nlm:
     def ema(self, a: str, b: str) -> EmaState:
         """The link's EMAs as a value."""
         i = self._index(a, b)
-        return EmaState(
-            *(column[i] for column in self._emas),
-            self._last_update[i],
-            bool(self._initialized[i]),
-        )
+        emas = (column[i] for column in self._emas)
+        return EmaState(*emas, self._last_update[i], bool(self._initialized[i]))
 
     def latest_ms(self, a: str, b: str) -> float | None:
         """The link's most recent sample, None before the first."""
-        i = self._index(a, b)
-        return self._latest_ms[i] if self._initialized[i] else None
+        return self._view(a, b)["latest_ms"]
 
     def score(self, a: str, b: str) -> float:
         """Composite score of the link, or +inf while uninitialized."""
-        state = self.ema(a, b)
-        return composite_score(state, self.weights) if state.initialized else math.inf
+        return self._score(self._index(a, b))
+
+    def _score(self, i: int) -> float:
+        w, (e1, e5, e15) = self.weights, self._emas  # composite_score's order: the same bits
+        score = w.w_1m * e1[i] + w.w_5m * e5[i] + w.w_15m * e15[i]
+        return score if self._initialized[i] else math.inf
 
     def status(self, a: str, b: str) -> str:
         return self._view(a, b)["status"]
@@ -426,12 +426,12 @@ class Nlm:
     def _view(self, a: str, b: str) -> dict:
         """A link's score and its status, classified when read against the
         link's budget; pass before any sample."""
-        latest_ms = self.latest_ms(a, b)  # None until the first sample
-        score = None if latest_ms is None else self.score(a, b)
-        budget_ms = self.link(a, b).budget_ms
+        i = self._index(a, b)
+        score = self._score(i) if self._initialized[i] else None
+        budget_ms = self._links[i].budget_ms
         return {
             "score_ms": score,
-            "latest_ms": latest_ms,
+            "latest_ms": None if score is None else self._latest_ms[i],
             "status": PASS if score is None else classify(score, budget_ms),
             "budget_ms": budget_ms,
         }

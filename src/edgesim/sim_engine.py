@@ -14,10 +14,11 @@ import hashlib
 import heapq
 import itertools
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import discovery
 from .device_model import (
@@ -29,7 +30,7 @@ from .device_model import (
     service_request,
 )
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm, StableParams
+from .net_model import Nlm
 from .orchestrator import (
     POLICY_WEIGHTED,
     TRIGGER_APP,
@@ -62,17 +63,127 @@ __all__ = [
     "run",
     "schedule_health_epochs",
     "substream",
+    "substreams",
 ]
 
 _TIME_EPS = 1e-9
 
 
+#: ``np.random.SeedSequence``'s hash constants. Its output for a given
+#: entropy is fixed (NEP 19), so ``substreams`` can compute it on arrays.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose ``PCG64`` state words are already computed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, np.dtype(dtype)) != (len(self.state), self.state.dtype):
+            raise ValueError(f"holds {len(self.state)} {self.state.dtype} words only")
+        return self.state
+
+
 def substream(master_seed: int, label: str) -> np.random.Generator:
     """Independent generator for one purpose, derived from the master seed."""
-    digest = hashlib.sha256(label.encode()).digest()
-    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    seq = np.random.SeedSequence([master_seed, *words])
-    return np.random.Generator(np.random.PCG64(seq))
+    return substreams(master_seed, [label])[0]
+
+
+def substreams(master_seed: int, labels: Sequence[str]) -> list[np.random.Generator]:
+    """One independent generator per label, derived from the master seed.
+
+    Label ``l`` gets ``Generator(PCG64(SeedSequence([master_seed, *words])))``
+    where ``words`` are the four little-endian 64-bit words of
+    ``sha256(l)``. The seeding of all labels is computed in one pass.
+    """
+    digests = b"".join(hashlib.sha256(label.encode()).digest() for label in labels)
+    entropy = _entropy(master_seed, np.frombuffer(digests, dtype="<u8").reshape(-1, 4))
+    states = _seed_states(*entropy)
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+
+
+def _entropy(master_seed: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words of ``[master_seed, *row]`` for every row of the
+    uint64 array ``values``, split as SeedSequence splits ints: row i's
+    words are ``words[i][keep[i]]``."""
+    seed_words = np.array(_uint32_words(master_seed), dtype=np.uint32)
+    halves = np.ascontiguousarray(values, dtype="<u8").view("<u4")  # low half first
+    words = np.hstack([np.tile(seed_words, (len(halves), 1)), halves])
+    # a value below 2^32 is one word, so its zero high half goes
+    keep = np.ones(words.shape, dtype=bool)
+    keep[:, len(seed_words) + 1 :: 2] = halves[:, 1::2] != 0
+    return words, keep
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as SeedSequence splits an int: low uint32 word first, 0 as [0]."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError("seed must be integer")
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    value = int(value)
+    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_states(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words[i][keep[i]]).generate_state(4, np.uint64)`` for
+    every row i of the uint32 array ``words``, as an (n, 4) array.
+
+    Rows with the same number of entropy words are mixed together.
+    """
+    lengths = keep.sum(axis=1)
+    states = np.empty((len(words), 4), dtype=np.uint64)
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        states[rows] = _mix(words[rows][keep[rows]].reshape(-1, length))
+    return states
+
+
+def _mix(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix_entropy`` then ``generate_state(4, np.uint64)``
+    on each row of ``entropy``, computed column by column.
+
+    Every operand is a uint32 array or ``np.uint32``, so the arithmetic
+    wraps the same way on every numpy version, without overflow warnings.
+    The hash constants do not depend on the data; they advance as Python
+    ints, one step per ``hashmix``.
+    """
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    columns = list(entropy.T)
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [
+        hashmix(columns[i] if i < len(columns) else zero, _MULT_A) for i in range(_POOL_SIZE)
+    ]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], _MULT_A))
+    for column in columns[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(column, _MULT_A))
+    const = _INIT_B
+    state = np.column_stack([hashmix(pool[i % _POOL_SIZE], _MULT_B) for i in range(8)])
+    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def schedule_health_epochs(interval_s: float, duration_s: float) -> list[float]:
@@ -269,12 +380,18 @@ class Simulation:
 
         node_names = sorted(self.nodes)
         net = scenario.network
-        for i, a in enumerate(node_names):
-            for b in node_names[i + 1 :]:
-                self._add_link(a, b, net.edge_edge)
-        for device in sorted(scenario.end_devices, key=lambda d: d.id):
-            for name in node_names:
-                self._add_link(name, device.id, net.edge_device)
+        links = [(a, b, net.edge_edge) for i, a in enumerate(node_names) for b in node_names[i + 1 :]]
+        links += [
+            (name, device.id, net.edge_device)
+            for device in sorted(scenario.end_devices, key=lambda d: d.id)
+            for name in node_names
+        ]
+        # each link's stream is labelled by its sorted endpoints
+        labels = [f"link:{min(a, b)}:{max(a, b)}" for a, b, _ in links]
+        for (a, b, params), rng in zip(links, substreams(self.seed, labels)):
+            self.nlm.add_link(
+                a, b, params, floor_ms=net.floor_ms, budget_ms=net.link_budget_ms, rng=rng
+            )
 
         # prime every link with one probe so the matrix is total from t=0
         self.nlm.probe_all(0.0)
@@ -334,19 +451,6 @@ class Simulation:
 
     def _schedule(self, time: float, rank: int, handler: Callable[..., None], *args) -> None:
         heapq.heappush(self._queue, (time, rank, handler, args))
-
-    def _add_link(self, a: str, b: str, params: StableParams) -> None:
-        """Register a link with its own stream, labelled by its sorted endpoints."""
-        lo, hi = sorted((a, b))
-        net = self.scenario.network
-        self.nlm.add_link(
-            a,
-            b,
-            params,
-            floor_ms=net.floor_ms,
-            budget_ms=net.link_budget_ms,
-            rng=substream(self.seed, f"link:{lo}:{hi}"),
-        )
 
     # -- status helpers -----------------------------------------------
 

@@ -1,16 +1,31 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
+import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgesim import discovery, net_model, orchestrator, presets
 from edgesim.device_model import DeviceProfile, admit_task
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
-from edgesim.sim_engine import Simulation, _Frame, run, schedule_health_epochs, substream
+from edgesim.sim_engine import (
+    Simulation,
+    _entropy,
+    _Frame,
+    _seed_states,
+    run,
+    schedule_health_epochs,
+    substream,
+    substreams,
+)
 
 from engine_checks import check_conservation, check_report, downtime_windows
 
@@ -65,6 +80,138 @@ class TestDeterminism:
         c = substream(42, "link:a:c").random(8)
         assert list(a) == list(b)
         assert list(a) != list(c)
+
+
+def scalar_substream(seed, label):
+    """The seeding definition, through numpy's own SeedSequence."""
+    digest = hashlib.sha256(label.encode()).digest()
+    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *words])))
+
+
+SEED_BOUNDARIES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+class TestSeeding:
+    """``substreams`` computes SeedSequence's mixing for many labels at
+    once; numpy's scalar SeedSequence is the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        # an overflow warning from numpy scalar arithmetic fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(SEED_BOUNDARIES), st.integers(0, 2**64 - 1)),
+        labels=st.lists(st.text(), max_size=12),
+    )
+    @example(seed=0, labels=[])
+    @example(seed=2**64 - 1, labels=["link:a:b", "link:a:b", ""])
+    def test_every_generator_matches_seed_sequence(self, seed, labels):
+        generators = substreams(seed, labels)
+        assert len(generators) == len(labels)
+        for label, generator in zip(labels, generators):
+            assert generator.bit_generator.state == scalar_substream(seed, label).bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(SEED_BOUNDARIES), st.integers(0, 2**64 - 1)),
+        rows=st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(SEED_BOUNDARIES), st.integers(0, 2**64 - 1)),
+                min_size=4,
+                max_size=4,
+            ),
+            max_size=8,
+        ),
+    )
+    def test_short_words_split_like_seed_sequence(self, seed, rows):
+        # 64-bit words below 2^32, which sha256 gives too rarely to reach
+        # through labels, are one uint32 word each
+        values = np.array(rows, dtype=np.uint64).reshape(-1, 4)
+        states = _seed_states(*_entropy(seed, values))
+        for row, state in zip(rows, states):
+            expected = np.random.SeedSequence([seed, *row]).generate_state(4, np.uint64)
+            assert state.tolist() == expected.tolist()
+
+    def test_mixing_matches_seed_sequence_for_every_entropy_length(self):
+        # hand-made rows of 1 to 12 words in one batch, so every length is
+        # its own group; zero and short words, which sha256 words give
+        # too rarely to reach through labels
+        rng = np.random.default_rng(3)
+        rows = []
+        for length in range(1, 13):
+            for fill in ("random", "zero", "short"):
+                row = rng.integers(0, 2**32, length, dtype=np.uint64).astype(np.uint32)
+                if fill == "zero":
+                    row[rng.random(length) < 0.5] = 0
+                elif fill == "short":
+                    row %= 256
+                rows.append(row)
+        rng.shuffle(rows)
+        words = np.zeros((len(rows), 12), dtype=np.uint32)
+        keep = np.zeros(words.shape, dtype=bool)
+        for i, row in enumerate(rows):
+            # entropy words need not be leading: spread them over the row
+            columns = np.sort(rng.choice(12, len(row), replace=False))
+            words[i, columns] = row
+            keep[i, columns] = True
+            words[i, ~keep[i]] = 0xDEADBEEF
+        states = _seed_states(words, keep)
+        for row, state in zip(rows, states):
+            expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
+            assert state.tolist() == expected.tolist()
+
+    def test_substream_equals_its_entry_in_a_batch(self):
+        one = substream(2**40 + 3, "link:a:b")
+        batch = substreams(2**40 + 3, ["link:a:c", "link:a:b"])[1]
+        assert one.bit_generator.state == batch.bit_generator.state
+
+    def test_invalid_seeds_raise_like_seed_sequence(self):
+        # in a child process, so a word splitter that loops forever on a
+        # negative seed fails on the timeout instead of hanging the suite;
+        # each seed prints substream's, substreams' and SeedSequence's error
+        child = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import numpy as np\n"
+            "from edgesim.sim_engine import substream, substreams\n"
+            "for seed in (-1, -(2**64), np.int64(-3), 1.5, np.float64(2.0)):\n"
+            "    calls = (lambda: substream(seed, 'x'), lambda: substreams(seed, []),\n"
+            "             lambda: np.random.SeedSequence([seed, 5]))\n"
+            "    for call in calls:\n"
+            "        try:\n"
+            "            call()\n"
+            "            print('no error')\n"
+            "        except Exception as error:\n"
+            "            print(type(error).__name__, error)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, *sys.path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        lines = done.stdout.splitlines()
+        assert len(lines) == 15
+        for i in range(0, 15, 3):
+            ours, batch, numpy_error = lines[i : i + 3]
+            assert numpy_error.startswith(("TypeError", "ValueError"))
+            assert ours == batch == numpy_error
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_every_link_of_a_built_run_has_its_stream(self, seed):
+        sim = Simulation(mini_scenario(n_nodes=12, n_devices=8), seed=seed)
+        pairs = sim.nlm.pairs()
+        assert len(pairs) == 12 * 11 // 2 + 12 * 8
+        for a, b in pairs:
+            expected = scalar_substream(seed, f"link:{a}:{b}")
+            # setup primed every link, which filled its row of draws
+            expected.random((net_model._BLOCK_CAP, 2))
+            assert sim.nlm.link(a, b).rng.bit_generator.state == expected.bit_generator.state
 
 
 def weighted_fault_scenario():
