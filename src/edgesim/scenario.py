@@ -16,6 +16,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .device_model import MIN_FRAME_SIZE_PX, DeviceProfile
 from .errors import ConfigurationError
 from .net_model import (
@@ -130,6 +132,12 @@ class OrchestratorConfig:
             raise ConfigurationError("orchestrator.handover_overhead_ms must be >= 0")
 
 
+def is_seed(value) -> bool:
+    """Whether ``value`` is an unsigned 64-bit integer: an int or numpy
+    integer in [0, 2**64), not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and 0 <= value < 2**64
+
+
 @dataclass
 class SimConfig:
     duration_s: float = 30.0
@@ -141,7 +149,7 @@ class SimConfig:
     def validate(self) -> None:
         if not (0 < self.duration_s < math.inf):
             raise ConfigurationError("sim.duration_s must be finite and > 0")
-        if not (0 <= self.seed < 2**64):
+        if not is_seed(self.seed):
             raise ConfigurationError("sim.seed must be an unsigned 64-bit integer")
         if self.health_epoch_interval_s <= 0:
             raise ConfigurationError("sim.health_epoch_interval_s must be > 0")

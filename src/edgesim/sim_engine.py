@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .device_model import (
     service_request,
 )
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm
+from .net_model import LinkState, Nlm
 from .orchestrator import (
     POLICY_WEIGHTED,
     TRIGGER_APP,
@@ -53,7 +54,7 @@ from .profiler_health import (
     evaluate_health,
     merge_since,
 )
-from .scenario import EndDevice, FaultSpec, Scenario, validate
+from .scenario import EndDevice, FaultSpec, Scenario, is_seed, validate
 
 __all__ = [
     "EndDevice",
@@ -61,7 +62,6 @@ __all__ = [
     "MetricsReport",
     "Simulation",
     "run",
-    "schedule_health_epochs",
     "substream",
     "substreams",
 ]
@@ -186,16 +186,25 @@ def _mix(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def schedule_health_epochs(interval_s: float, duration_s: float) -> list[float]:
-    """Epoch instants k * interval for k >= 1 up to and including duration."""
-    if interval_s <= 0:
-        raise ConfigurationError(f"health epoch interval must be > 0, got {interval_s}")
-    times = []
-    k = 1
-    while k * interval_s <= duration_s + _TIME_EPS:
-        times.append(k * interval_s)
+def _emits(start_s: float, fps: float, k: int, duration_s: float) -> bool:
+    """Whether a stream's k-th frame, at start + k / fps, falls inside the run."""
+    return start_s + k / fps < duration_s - _TIME_EPS
+
+
+def _frame_count(start_s: float, fps: float, duration_s: float) -> int:
+    """The number of frames a stream emits: the first k that ``_emits``
+    rejects.
+
+    ``_emits`` is monotone in k, because ``k / fps`` and ``start + x``
+    both round monotonically, so stepping from the real-valued count to
+    where the test turns gives exactly that k in a few steps.
+    """
+    k = max(0, math.ceil((duration_s - _TIME_EPS - start_s) * fps))
+    while _emits(start_s, fps, k, duration_s):
         k += 1
-    return times
+    while k > 0 and not _emits(start_s, fps, k - 1, duration_s):
+        k -= 1
+    return k
 
 
 @dataclass
@@ -311,9 +320,10 @@ class Simulation:
         if errors:
             raise ConfigurationError("invalid scenario:\n  " + "\n  ".join(errors))
         self.scenario = scenario
-        self.seed = scenario.sim.seed if seed is None else seed
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        seed = scenario.sim.seed if seed is None else seed
+        if not is_seed(seed):
+            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        self.seed = int(seed)
         self.now = 0.0
         self._frame_ids = itertools.count()
         # entries are (time, rank, handler, args) and pop in (time, rank)
@@ -388,10 +398,10 @@ class Simulation:
         ]
         # each link's stream is labelled by its sorted endpoints
         labels = [f"link:{min(a, b)}:{max(a, b)}" for a, b, _ in links]
-        for (a, b, params), rng in zip(links, substreams(self.seed, labels)):
-            self.nlm.add_link(
-                a, b, params, floor_ms=net.floor_ms, budget_ms=net.link_budget_ms, rng=rng
-            )
+        self.nlm.add_links(
+            (a, b, LinkState(params, net.floor_ms, net.link_budget_ms, rng))
+            for (a, b, params), rng in zip(links, substreams(self.seed, labels))
+        )
 
         # prime every link with one probe so the matrix is total from t=0
         self.nlm.probe_all(0.0)
@@ -402,11 +412,12 @@ class Simulation:
         for fault in sorted(scenario.faults, key=lambda f: (f.at_s, f.node_id)):
             self.inject_fault(fault.node_id, fault.at_s, fault.duration_s)
 
-        # One pending emission per stream: each emission schedules the next.
-        # All of a stream's emissions share one rank, drawn here in device-id
-        # order, so at a shared instant they run after the fault transitions,
-        # before the epochs, the run end and every entry scheduled later, and
-        # in device-id order, which is also the frame-id order.
+        # One pending emission per stream and one pending epoch: each
+        # schedules the next. All of a stream's emissions share one rank,
+        # drawn here in device-id order, and all epochs the next one, so at
+        # a shared instant the fault transitions run first, then the
+        # emissions in device-id order (also the frame-id order), the epoch,
+        # the run end and every entry scheduled later.
         duration = scenario.sim.duration_s
         for device in sorted(scenario.end_devices, key=lambda d: d.id):
             task = InferenceTask(
@@ -418,15 +429,13 @@ class Simulation:
                 created_at=device.start_s,
             )
             ts = self.tasks[task.task_id] = _TaskState(task, device, next(self._ranks))
-            k = 0
-            while device.start_s + k / device.fps < duration - _TIME_EPS:
-                k += 1
-            self.counters["frames_generated"] += k
-            if k:
+            n_frames = _frame_count(device.start_s, device.fps, duration)
+            self.counters["frames_generated"] += n_frames
+            if n_frames:
                 self._schedule(device.start_s, ts.emit_rank, self._on_emit, ts, 0)
 
-        for t in schedule_health_epochs(scenario.sim.health_epoch_interval_s, duration):
-            self._schedule(t, next(self._ranks), self._on_health_epoch)
+        self._epoch_rank = next(self._ranks)
+        self._schedule_epoch(1)
         self._schedule(duration, next(self._ranks), self._on_run_end)
 
     def inject_fault(self, node_id: str, at_s: float, duration_s: float) -> None:
@@ -510,9 +519,8 @@ class Simulation:
             qos_ms=ts.task.qos_ms,
             emitted_at=device.start_s + k / device.fps,
         )
-        next_at = device.start_s + (k + 1) / device.fps
-        if next_at < self.scenario.sim.duration_s - _TIME_EPS:
-            self._schedule(next_at, ts.emit_rank, self._on_emit, ts, k + 1)
+        if _emits(device.start_s, device.fps, k + 1, self.scenario.sim.duration_s):
+            self._schedule(device.start_s + (k + 1) / device.fps, ts.emit_rank, self._on_emit, ts, k + 1)
         if ts.task.host_node is None and ts.migration is None:
             self._try_assign(ts)
         self._dispatch_or_defer(frame)
@@ -639,7 +647,15 @@ class Simulation:
 
     # -- health epochs and the offload loop -----------------------------
 
-    def _on_health_epoch(self) -> None:
+    def _schedule_epoch(self, k: int) -> None:
+        """Schedule the k-th health epoch, at k * interval, if it falls
+        inside the run; the product keeps the instants from drifting."""
+        at = k * self.scenario.sim.health_epoch_interval_s
+        if at <= self.scenario.sim.duration_s + _TIME_EPS:
+            self._schedule(at, self._epoch_rank, self._on_health_epoch, k)
+
+    def _on_health_epoch(self, k: int) -> None:
+        self._schedule_epoch(k + 1)
         self.nlm.probe_all(self.now)
 
         for name in sorted(self.nodes):

@@ -12,6 +12,7 @@ from edgesim.errors import ConfigurationError, NotReadyError, TimeRegressionErro
 from edgesim.net_model import (
     EmaState,
     EmaWeights,
+    LinkState,
     Nlm,
     StableParams,
     composite_score,
@@ -420,3 +421,66 @@ class TestProbeAll:
         assert nlm.ema("edge-a", "edge-b") == EmaState()
         assert nlm.latest_ms("edge-a", "edge-b") is None
         assert nlm.pairs() == [("edge-a", "edge-b")]
+
+
+class TestAddLinks:
+    """``add_links`` registers a batch as ``add_link`` on each entry in
+    turn, and a batch with a bad entry changes nothing."""
+
+    PARAMS = StableParams(alpha=1.5, scale=0.2, location=5.0)
+    OTHER = StableParams(alpha=2.0, location=9.0)
+
+    def _probed(self):
+        nlm = Nlm()
+        nlm.add_link("edge-a", "edge-b", self.PARAMS, rng=np.random.default_rng(0))
+        nlm.add_link("edge-a", "edge-c", self.PARAMS, rng=np.random.default_rng(1))
+        nlm.probe_all(1.0)
+        return nlm
+
+    def _entries(self):
+        return [
+            # a probed link registered again: replaced, its row cleared
+            ("edge-b", "edge-a", LinkState(self.OTHER, 0.5, 30.0, np.random.default_rng(5))),
+            ("edge-a", "cam-1", LinkState(self.PARAMS, rng=np.random.default_rng(6))),
+            ("edge-c", "cam-2", LinkState(self.PARAMS, rng=np.random.default_rng(7))),
+            # a pair of this batch again, in the other order
+            ("cam-1", "edge-a", LinkState(self.OTHER, budget_ms=20.0, rng=np.random.default_rng(8))),
+        ]
+
+    @staticmethod
+    def _table(nlm):
+        return (
+            dict(nlm._number),
+            [column.tobytes() for column in nlm._columns],
+            nlm._draws.tobytes(),
+            nlm._cursor.tobytes(),
+            list(nlm.pairs()),
+            [(s.params, s.floor_ms, s.budget_ms, s.rng.bit_generator.state) for s in nlm._links],
+        )
+
+    def test_batch_equals_one_link_at_a_time(self):
+        one_by_one, batch = self._probed(), self._probed()
+        for a, b, state in self._entries():
+            one_by_one.add_link(a, b, state.params, state.floor_ms, state.budget_ms, state.rng)
+        batch.add_links(self._entries())
+        assert batch._number[("edge-a", "cam-1")] == 2
+        assert batch.ema("edge-a", "edge-b") == EmaState()
+        assert self._table(batch) == self._table(one_by_one)
+        one_by_one.probe_all(2.0)
+        batch.probe_all(2.0)
+        assert self._table(batch) == self._table(one_by_one)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (("edge-d", "edge-d", LinkState(PARAMS)), "differ"),
+            (("edge-d", "cam-3", LinkState(StableParams(alpha=2.5))), "alpha"),
+        ],
+    )
+    def test_bad_entry_changes_nothing(self, bad, match):
+        nlm = self._probed()
+        before = self._table(nlm)
+        entries = self._entries()
+        with pytest.raises(ConfigurationError, match=match):
+            nlm.add_links([*entries[:2], bad, *entries[2:]])
+        assert self._table(nlm) == before

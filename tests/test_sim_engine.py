@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import re
 import subprocess
 import sys
 import warnings
@@ -12,17 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesim import discovery, net_model, orchestrator, presets
+from edgesim.cli import write_outputs
 from edgesim.device_model import DeviceProfile, admit_task
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import (
+    _TIME_EPS,
     Simulation,
     _entropy,
+    _frame_count,
     _Frame,
     _seed_states,
     run,
-    schedule_health_epochs,
     substream,
     substreams,
 )
@@ -401,15 +405,65 @@ class TestEventCount:
         assert counts["handled"] == counts["scheduled"] - len(sim._queue)
 
 
+def quiet_scenario(duration):
+    """Its one stream starts at the run end, so only epochs run."""
+    scenario = mini_scenario(duration=duration)
+    scenario.end_devices[0].start_s = duration
+    return scenario
+
+
+def handled(monkeypatch):
+    """(instant, handler name) of every entry a run handles, in order."""
+    entries = []
+    handle = Simulation._handle
+
+    def spy(sim, time, handler, args):
+        entries.append((time, handler.__name__))
+        return handle(sim, time, handler, args)
+
+    monkeypatch.setattr(Simulation, "_handle", spy)
+    return entries
+
+
 class TestHealthEpochs:
-    def test_epoch_schedule_count(self):
-        assert len(schedule_health_epochs(1.0, 10.0)) == 10
-        assert schedule_health_epochs(1.0, 10.0)[0] == 1.0
-        assert schedule_health_epochs(2.5, 10.0) == [2.5, 5.0, 7.5, 10.0]
+    """One epoch is pending at a time; each schedules the next at k * interval."""
+
+    @staticmethod
+    def epoch_instants(monkeypatch, interval, duration):
+        scenario = quiet_scenario(duration)
+        scenario.sim.health_epoch_interval_s = interval
+        entries = handled(monkeypatch)
+        sim = Simulation(scenario)
+        assert len(sim._queue) == 2  # the first epoch and the run end
+        sim.run()
+        epochs = [t for t, name in entries if name == "_on_health_epoch"]
+        assert [t for t, name in entries if name == "_on_run_end"] == [duration]
+        assert max(epochs) <= duration
+        return epochs
+
+    def test_epoch_schedule_count(self, monkeypatch):
+        assert self.epoch_instants(monkeypatch, 1.0, 10.0) == [float(k) for k in range(1, 11)]
+        assert self.epoch_instants(monkeypatch, 2.5, 10.0) == [2.5, 5.0, 7.5, 10.0]
+
+    def test_epoch_instants_do_not_drift(self, monkeypatch):
+        # repeated addition of 0.1 drifts off these products
+        assert self.epoch_instants(monkeypatch, 0.1, 100.0) == [k * 0.1 for k in range(1, 1001)]
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            schedule_health_epochs(0.0, 10.0)
+        scenario = mini_scenario()
+        scenario.sim.health_epoch_interval_s = 0.0
+        with pytest.raises(ConfigurationError, match="health_epoch_interval_s"):
+            Simulation(scenario)
+
+    def test_fault_injected_at_an_epoch_runs_after_it(self, monkeypatch):
+        # an entry scheduled after construction pops after every entry
+        # scheduled at construction for the same instant, the epochs included
+        entries = handled(monkeypatch)
+        sim = Simulation(quiet_scenario(6.0))
+        sim.inject_fault("node-a", 3.0, 1.0)
+        sim.run()
+        assert [name for t, name in entries if t == 3.0] == ["_on_health_epoch", "_on_fault"]
+        assert [(e["t"], e["event"]) for e in sim.node_events] == [(3.0, "fault-start"), (4.0, "fault-end")]
 
     def test_quiet_cluster_never_migrates(self):
         # two streams cannot push any node past two instances
@@ -459,7 +513,7 @@ class TestOneVictimPerEpoch:
         for tid, latency in zip(sorted(sim.tasks), (280.0, 290.0, 120.0)):
             sim.profilers["node-a"].record_inference(tid, latency, 0.0)
         sim.now = 1.0
-        sim._on_health_epoch()
+        sim._on_health_epoch(1)
         assert sim.health["node-a"].system_state == "warning"
         assert sorted(sim.health["node-a"].app_states.values()) == ["critical", "critical", "pass"]
         # the slower of the two moves now; the other waits for a later epoch
@@ -694,11 +748,32 @@ class TestValidationGate:
         with pytest.raises(ConfigurationError, match="seed"):
             Simulation(mini_scenario(), seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_override_of_another_type_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match=f"got {re.escape(repr(seed))}"):
+            Simulation(mini_scenario(), seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_scenario_seed_of_another_type_rejected(self, seed):
+        scenario = mini_scenario()
+        scenario.sim.seed = seed
+        with pytest.raises(ConfigurationError, match="sim.seed"):
+            Simulation(scenario)
+
+    def test_numpy_integer_seed_writes_the_same_report(self, tmp_path):
+        for seed in (3, np.int64(3)):
+            sim = Simulation(mini_scenario(), seed=seed)
+            assert type(sim.seed) is int
+            (tmp_path / type(seed).__name__).mkdir()
+            write_outputs(sim.run(), tmp_path / type(seed).__name__, "json")
+        assert (tmp_path / "int" / "report.json").read_bytes() == (tmp_path / "int64" / "report.json").read_bytes()
+
     def test_invalid_scenario_rejected_before_any_event(self):
         scenario = mini_scenario()
         scenario.end_devices[0].fps = -1.0
         with pytest.raises(ConfigurationError, match="fps"):
             Simulation(scenario)
+
 
     def test_gossip_budget_in_report(self):
         report = run(mini_scenario())
@@ -771,8 +846,8 @@ class TestLazyEmissions:
 
     def test_queue_at_start_holds_one_entry_per_emitting_stream(self):
         sim = Simulation(tied_streams_scenario())
-        # 2 emitting streams, 6 epochs, the run end and 2 fault transitions
-        assert len(sim._queue) == 2 + 6 + 1 + 2
+        # 2 emitting streams, the first epoch, the run end and 2 fault transitions
+        assert len(sim._queue) == 2 + 1 + 1 + 2
         emitting = sorted(args[0].device.id for _, _, handler, args in sim._queue if handler == sim._on_emit)
         assert emitting == ["dev-0", "dev-1"]
         assert sim.counters["frames_generated"] == 22 + 5
@@ -788,3 +863,56 @@ class TestLazyEmissions:
         frames = [arg for *_, args in sim._queue for arg in args if isinstance(arg, _Frame)]
         assert frames and all(f.dispatched_at is not None for f in frames)
         check_report(report)
+
+
+def literal_frame_count(start_s, fps, duration_s):
+    k = 0
+    while start_s + k / fps < duration_s - _TIME_EPS:
+        k += 1
+    return k
+
+
+@st.composite
+def streams(draw):
+    """(start, fps, duration) with the start inside the run; half of the
+    run ends fall on an emission instant or within 1e-9 of one, down to
+    a few ulps either side."""
+    fps = draw(st.one_of(st.sampled_from([1 / 3, 29.97, 1e-3, 240.0]), st.floats(1e-3, 240.0)))
+    duration = draw(st.floats(1e-6, 100.0))
+    start = draw(st.floats(0.0, duration))
+    if draw(st.booleans()):
+        instant = start + draw(st.integers(0, int((duration - start) * fps))) / fps
+        offset = draw(st.one_of(st.sampled_from([0.0, _TIME_EPS, -_TIME_EPS]), st.floats(-1e-9, 1e-9)))
+        duration = instant + offset
+        ulps = draw(st.integers(-2, 2))
+        for _ in range(abs(ulps)):
+            duration = math.nextafter(duration, math.copysign(math.inf, ulps))
+    return start, fps, duration
+
+
+class TestFrameCount:
+    """``frames_generated`` comes from the emission test in closed form, and
+    the queue at construction does not grow with the run's duration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=streams())
+    # the real-valued count is one short here, and one over in the next
+    @example(stream=(47.1085008411246, 1 / 3, 3731.108500842125))
+    @example(stream=(31.635209947738506, 29.97, 54.4913994715947))
+    @example(stream=(0.0, 1 / 3, 3.0))
+    @example(stream=(0.0, 1 / 3, 3.0 + _TIME_EPS))
+    @example(stream=(0.5, 29.97, 0.5 + 10 / 29.97 + _TIME_EPS))
+    @example(stream=(0.0, 240.0, 1.0))
+    @example(stream=(2.0, 1e-3, 2.0))
+    def test_closed_form_equals_the_loop(self, stream):
+        assert _frame_count(*stream) == literal_frame_count(*stream)
+
+    def test_queue_at_start_does_not_grow_with_duration(self):
+        sims = {}
+        for duration in (10.0, 1e6):
+            scenario = tied_streams_scenario()
+            scenario.sim.duration_s = duration
+            sims[duration] = Simulation(scenario)
+        assert len(sims[10.0]._queue) == len(sims[1e6]._queue)
+        # dev-1: 0.5 + k / 4 < 1e6; dev-0: 1 + k < 1e6; dev-2: 6 + k / 2 < 1e6
+        assert sims[1e6].counters["frames_generated"] == 3_999_998 + 999_999 + 1_999_988
