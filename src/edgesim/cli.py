@@ -6,9 +6,11 @@ per completed frame, sorted by completion time then frame id),
 line), and ``summary.txt``. Files are written atomically. ``report.json``
 holds the bytes of ``json.dumps(report.to_dict(), sort_keys=True,
 indent=2)`` plus a newline, and no list or object section of it is built
-whole: each goes to disk a chunk of elements at a time. A flat row (str
-keys; str, int or finite float values) is filled into a cached
-%-template; any other element goes through ``json.dumps`` on its own.
+whole: each goes to disk a chunk of elements at a time. Frames are
+formatted from the run's ``FrameTable`` a column at a time. Any other
+flat row (str keys; str, int or finite float values) is filled into a
+cached %-template; any other element goes through ``json.dumps`` on its
+own.
 Verbosity is controlled by the ``EDGESIM_LOG`` environment variable
 (error|info|debug).
 """
@@ -16,7 +18,6 @@ Verbosity is controlled by the ``EDGESIM_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
@@ -25,6 +26,7 @@ import os
 import re
 import sys
 import tempfile
+from collections.abc import Iterator, Sequence
 from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -34,7 +36,7 @@ from . import presets
 from .errors import ConfigurationError, EdgesimError
 from .orchestrator import POLICIES
 from .scenario import Scenario, load_scenario, save_scenario, to_dict, validate
-from .sim_engine import FrameRecord, MetricsReport, run
+from .sim_engine import FrameRecord, FrameTable, MetricsReport, run
 
 log = logging.getLogger("edgesim")
 
@@ -50,6 +52,11 @@ FRAME_COLUMNS = [
     "e2e_ms",
     "state",
 ]
+#: the ``FrameRecord`` fields that frames.csv reads, in the order it reads them
+_CSV_FIELDS = (
+    "completed_at", "end_device", "node", "frame_size_px", "n_instances",
+    "cpu_ms", "accel_ms", "net_out_ms", "net_back_ms", "e2e_ms", "state",
+)
 
 PRESET_SCENARIOS = {
     "default": presets.default_scenario,
@@ -85,11 +92,17 @@ def _atomic_write(path: Path, emit: Callable[[TextIO], object]) -> None:
 
 
 def write_frames_csv(report: MetricsReport, handle: TextIO) -> None:
+    """One row per frame, filled from a ``FrameTable``'s columns, or from
+    the fields of each record of any other sequence."""
     handle.write(",".join(FRAME_COLUMNS) + "\n")
+    frames = report.frames
+    if type(frames) is FrameTable:
+        rows = zip(*map(frames.columns.__getitem__, _CSV_FIELDS))
+    else:
+        rows = map(attrgetter(*_CSV_FIELDS), frames)
     handle.writelines(
-        f"{f.completed_at!r},{f.end_device},{f.node},{f.frame_size_px},{f.n_instances},{f.cpu_ms!r},"
-        f"{f.accel_ms!r},{f.net_out_ms + f.net_back_ms!r},{f.e2e_ms!r},{f.state}\n"
-        for f in report.frames
+        f"{time!r},{end_device},{node},{size},{n},{cpu!r},{accel!r},{out + back!r},{e2e!r},{state}\n"
+        for time, end_device, node, size, n, cpu, accel, out, back, e2e, state in rows
     )
 
 
@@ -132,16 +145,64 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 #: section elements per write: 256 frame rows are about 160 kB of text
 _CHUNK = 256
 
-_FRAME_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(FrameRecord)))
-_FRAME_VALUES = attrgetter(*_FRAME_FIELDS)
+_RECORD_VALUES = attrgetter(*FrameTable.FIELDS)
+#: a frame row of report.json: its keys sorted, nested two deep
+_FRAME_KEYS = sorted(FrameTable.FIELDS)
+_FRAME_ROW = "{" + ",".join(f"\n      {_ESCAPE(name)}: %s" for name in _FRAME_KEYS) + "\n    }"
+#: the JSON text of a value whose type is exactly one of these
+_JSON_TEXT = {float: float.__repr__, int: int.__repr__, str: _ESCAPE}
+
+
+def _chunks(items: Iterator) -> Iterator[list]:
+    while chunk := list(islice(items, _CHUNK)):
+        yield chunk
+
+
+def _json_column(values: Sequence) -> list[str] | None:
+    """The JSON text of each value, in one pass; None unless the values are
+    all exactly ``str``, all exactly ``int`` or all exactly ``float`` and
+    finite."""
+    kinds = set(map(type, values))
+    text = _JSON_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    # the sum of finite floats may overflow, but any NaN or infinity makes
+    # it non-finite; an overflow only costs the row path
+    if text is None or (text is float.__repr__ and not math.isfinite(sum(values))):
+        return None
+    return list(map(text, values))
+
+
+def _frame_texts(frames: Sequence[FrameRecord]) -> Iterator[list[str]]:
+    """The frame rows of ``report.json``, ``_CHUNK`` at a time: slices of a
+    ``FrameTable``'s columns, or a list's records transposed into columns.
+    A chunk whose every column passes ``_json_column`` is filled into
+    ``_FRAME_ROW``; any other goes row by row through ``_element_text``,
+    each row as the dict ``to_dict()`` makes of it. So does a chunk with a
+    record that is not exactly a ``FrameRecord``, extra fields and all."""
+    if type(frames) is FrameTable:
+        columns = frames.columns
+        chunks = (
+            {name: column[start : start + _CHUNK] for name, column in columns.items()}
+            for start in range(0, len(frames), _CHUNK)
+        )
+    else:
+        chunks = _chunks(iter(frames))
+    for chunk in chunks:
+        if type(chunk) is list:
+            if not all(type(record) is FrameRecord for record in chunk):
+                yield [_element_text(dict(vars(record))) for record in chunk]
+                continue
+            chunk = dict(zip(FrameTable.FIELDS, zip(*map(_RECORD_VALUES, chunk))))
+        texts = list(map(_json_column, map(chunk.__getitem__, _FRAME_KEYS)))
+        if None in texts:
+            yield [_element_text(dict(zip(chunk, row))) for row in zip(*chunk.values())]
+        else:
+            yield list(map(_FRAME_ROW.__mod__, zip(*texts)))
 
 
 def _dumps(value: object, level: int) -> str:
-    """The reference encoder's text of ``value`` nested ``level`` deep, a
-    ``FrameRecord`` as ``dict(vars(record))``, or its TypeError. Its strings
-    hold no raw newline, so re-indenting is safe."""
-    if isinstance(value, FrameRecord):
-        value = dict(vars(value))
+    """The reference encoder's text of ``value`` nested ``level`` deep, or
+    its TypeError. Its strings hold no raw newline, so re-indenting is
+    safe."""
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
@@ -168,17 +229,11 @@ def _element_text(item: object) -> str:
     """A section element, nested two deep: a flat row filled into its
     template, anything else, a float that is not finite included, through
     the reference encoder."""
-    kind, plan = type(item), None
-    if kind is FrameRecord:
-        values = _FRAME_VALUES(item)
-        plan = _row_plan(_FRAME_FIELDS, tuple(map(type, values)))
-    elif kind is dict:
-        plan = _row_plan(tuple(item), tuple(map(type, item.values())))
+    plan = _row_plan(tuple(item), tuple(map(type, item.values()))) if type(item) is dict else None
     if plan is None:
         return _dumps(item, 2)
     template, getter, strings, floats = plan
-    if kind is dict:
-        values = getter(item)
+    values = getter(item)
     # the sum of finite floats may overflow, but any NaN or infinity makes
     # it non-finite; an overflow only costs the reference encoder
     if floats and not math.isfinite(sum([values[i] for i in floats])):
@@ -191,27 +246,32 @@ def _element_text(item: object) -> str:
 
 def write_report_json(report: MetricsReport, handle: TextIO) -> None:
     """Stream ``report.json``: the bytes of
-    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"``. A
-    non-empty list section, or object section with str keys, goes out a
-    chunk of elements at a time; any other section through the encoder."""
+    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"``. The
+    frames, and any other list section or object section with str keys,
+    go out a chunk of elements at a time; any other section through the
+    encoder."""
     sep = "{"
     for name, section in sorted(report.sections().items()):
         handle.write(f"{sep}\n  {_ESCAPE(name)}: ")
         sep = ","
         kind = type(section)
-        if (kind is list or kind is tuple) and section:
-            brackets, texts = "[]", map(_element_text, section)
-        elif kind is dict and section and all(type(key) is str for key in section):
-            brackets, texts = "{}", (_ESCAPE(key) + ": " + _element_text(section[key]) for key in sorted(section))
+        if name == "frames":
+            brackets, chunks = "[]", _frame_texts(section)
+        elif kind is list or kind is tuple:
+            brackets, chunks = "[]", _chunks(map(_element_text, section))
+        elif kind is dict and all(type(key) is str for key in section):
+            texts = (_ESCAPE(key) + ": " + _element_text(section[key]) for key in sorted(section))
+            brackets, chunks = "{}", _chunks(texts)
         else:
             handle.write(_dumps(section, 1))
             continue
         lead = brackets[0]
-        while chunk := list(islice(texts, _CHUNK)):
+        for chunk in chunks:
             handle.write(lead + "\n    ")
             handle.write(",\n    ".join(chunk))
             lead = ","
-        handle.write("\n  " + brackets[1])
+        # an empty section is written as the encoder writes it
+        handle.write(brackets if lead == brackets[0] else "\n  " + brackets[1])
     handle.write("\n}\n")
 
 

@@ -14,9 +14,10 @@ import hashlib
 import heapq
 import itertools
 import math
+from array import array
 from collections import deque
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -59,6 +60,7 @@ from .scenario import EndDevice, FaultSpec, Scenario, is_seed, validate
 __all__ = [
     "EndDevice",
     "FrameRecord",
+    "FrameTable",
     "MetricsReport",
     "Simulation",
     "run",
@@ -262,6 +264,65 @@ class FrameRecord:
     state: str
 
 
+#: the columns whose type the engine's own arithmetic fixes, whatever the
+#: scenario holds; every other column keeps the objects it is given
+_INT_COLUMNS = ("frame_id", "n_instances")
+_FLOAT_COLUMNS = ("emitted_at", "completed_at", "net_out_ms", "net_back_ms", "queueing_ms", "e2e_ms")
+
+
+class FrameTable(Sequence):
+    """Completed frames as columns, one per ``FrameRecord`` field in field
+    order: ``array('q')`` for the int columns, ``array('d')`` for the float
+    ones and a list for each other. An item is a ``FrameRecord`` built when
+    it is read; a slice is a list of them."""
+
+    FIELDS = tuple(f.name for f in fields(FrameRecord))
+
+    def __init__(self) -> None:
+        self.columns: dict[str, array | list] = {
+            name: array("q") if name in _INT_COLUMNS else array("d") if name in _FLOAT_COLUMNS else []
+            for name in self.FIELDS
+        }
+        self._appends = tuple(column.append for column in self.columns.values())
+
+    def append(self, *values: object) -> None:
+        """Add one row: a value per field, in field order."""
+        for add, value in zip(self._appends, values):
+            add(value)
+
+    def __len__(self) -> int:
+        return len(self.columns["frame_id"])
+
+    def __getitem__(self, index: int | slice) -> FrameRecord | list[FrameRecord]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return FrameRecord(*(column[index] for column in self.columns.values()))
+
+    def __iter__(self) -> Iterator[FrameRecord]:
+        return map(FrameRecord, *self.columns.values())
+
+    def sort(self) -> None:
+        """Order the rows by ``(completed_at, frame_id)`` in place, one
+        column at a time, so no more than one column is ever copied."""
+        columns = self.columns
+        # the last key is the primary one
+        order = np.lexsort([_view(columns["frame_id"]), _view(columns["completed_at"])])
+        for column in columns.values():
+            if type(column) is array:
+                view = _view(column)
+                view[:] = view[order]
+            else:
+                # a memoryview yields the positions as ints one at a time,
+                # without a list of them all
+                column[:] = [column[i] for i in memoryview(order)]
+
+
+def _view(column: array) -> np.ndarray:
+    """A typed column as a numpy array sharing its memory. The column cannot
+    grow while the view is alive."""
+    return np.frombuffer(column, dtype=column.typecode)
+
+
 @dataclass
 class MetricsReport:
     """Everything a run emits; serializable and deterministic."""
@@ -270,7 +331,7 @@ class MetricsReport:
     policy: str
     offloading_enabled: bool
     duration_s: float
-    frames: list[FrameRecord]
+    frames: Sequence[FrameRecord]
     migrations: list[MigrationRecord]
     counters: dict
     instance_series: dict[str, list[tuple[float, int]]]
@@ -285,8 +346,8 @@ class MetricsReport:
 
     def sections(self) -> dict:
         """The top-level sections of ``to_dict()``, except that ``frames``
-        is the list of ``FrameRecord`` objects itself, so a writer can
-        stream the records without copying each into a dict."""
+        is the frames themselves, a ``FrameTable`` after a run, so a writer
+        can format its columns without copying each frame into a dict."""
         return {
             "seed": self.seed,
             "policy": self.policy,
@@ -348,7 +409,7 @@ class Simulation:
         # at most one undispatched frame per task: a live stream's stale
         # frames are superseded by newer ones, never replayed as a burst
         self.pending: dict[str, _Frame] = {}
-        self.records: list[FrameRecord] = []
+        self.records = FrameTable()
         self.migrations: list[MigrationRecord] = []
         self.decision_log: list[dict] = []
         self.health_transitions: list[dict] = []
@@ -607,29 +668,28 @@ class Simulation:
         e2e = frame.net_out_ms + queueing + outcome.total_processing_ms + frame.net_back_ms
         state = classify(e2e, frame.qos_ms, self.warn_fraction, self.critical_fraction)
         completed_at = self.now + frame.net_back_ms / 1000.0
+        # one value per FrameRecord field, in field order
         self.records.append(
-            FrameRecord(
-                frame_id=frame.frame_id,
-                task_id=frame.task_id,
-                end_device=frame.end_device_id,
-                node=frame.node,
-                dispatched_to=frame.dispatched_to,
-                frame_size_px=frame.frame_size_px,
-                n_instances=outcome.n_instances,
-                qos_ms=frame.qos_ms,
-                emitted_at=frame.emitted_at,
-                dispatched_at=frame.dispatched_at,
-                completed_at=completed_at,
-                net_out_ms=frame.net_out_ms,
-                queueing_ms=queueing,
-                cpu_ms=outcome.cpu_ms,
-                accel_ms=outcome.accel_ms,
-                model_load_ms=outcome.model_load_ms,
-                processing_ms=outcome.total_processing_ms,
-                net_back_ms=frame.net_back_ms,
-                e2e_ms=e2e,
-                state=state,
-            )
+            frame.frame_id,
+            frame.task_id,
+            frame.end_device_id,
+            frame.node,
+            frame.dispatched_to,
+            frame.frame_size_px,
+            outcome.n_instances,
+            frame.qos_ms,
+            frame.emitted_at,
+            frame.dispatched_at,
+            completed_at,
+            frame.net_out_ms,
+            queueing,
+            outcome.cpu_ms,
+            outcome.accel_ms,
+            outcome.model_load_ms,
+            outcome.total_processing_ms,
+            frame.net_back_ms,
+            e2e,
+            state,
         )
         self.counters["frames_completed"] += 1
         if e2e > frame.qos_ms:
@@ -934,20 +994,23 @@ class Simulation:
         return len(ids)
 
     def _report(self) -> MetricsReport:
-        frames = sorted(self.records, key=lambda r: (r.completed_at, r.frame_id))
+        frames = self.records
+        frames.sort()
         self.counters["frames_in_flight_at_end"] = self._frames_in_flight()
         breakdown_map: dict[tuple[str, int, int], dict] = {}
-        for record in frames:
-            key = (record.node, record.frame_size_px, record.n_instances)
+        names = ("node", "frame_size_px", "n_instances", "cpu_ms", "accel_ms", "e2e_ms")
+        rows = zip(*map(frames.columns.__getitem__, names))
+        for node, frame_size_px, n_instances, cpu_ms, accel_ms, e2e_ms in rows:
+            key = (node, frame_size_px, n_instances)
             agg = breakdown_map.setdefault(
                 key,
                 {"node": key[0], "frame_size_px": key[1], "n_instances": key[2],
                  "count": 0, "cpu_ms_total": 0.0, "accel_ms_total": 0.0, "e2e_ms_total": 0.0},
             )
             agg["count"] += 1
-            agg["cpu_ms_total"] += record.cpu_ms
-            agg["accel_ms_total"] += record.accel_ms
-            agg["e2e_ms_total"] += record.e2e_ms
+            agg["cpu_ms_total"] += cpu_ms
+            agg["accel_ms_total"] += accel_ms
+            agg["e2e_ms_total"] += e2e_ms
         breakdown = []
         for key in sorted(breakdown_map):
             agg = breakdown_map[key]

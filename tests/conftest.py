@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,3 +15,13 @@ def rng():
 @pytest.fixture
 def profiles():
     return {p.name: p for p in presets.default_profiles()}
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's workload builders, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -552,6 +552,61 @@ class TaggedFrame(FrameRecord):
     tag: str = "extra"
 
 
+def int_valued_scenario() -> Scenario:
+    """A lone stream whose start and budget are ints, as a scenario built
+    in Python may hold them; the first frame also pays the model load."""
+    scenario = presets.default_scenario()
+    scenario.end_devices = scenario.end_devices[:1]
+    scenario.end_devices[0].start_s = 2
+    scenario.end_devices[0].qos_ms = 150
+    scenario.sim.preload_models = False
+    return scenario
+
+
+def reference_csv(report: MetricsReport) -> str:
+    """``frames.csv`` as an f-string of each record's fields writes it."""
+    rows = (
+        f"{f.completed_at!r},{f.end_device},{f.node},{f.frame_size_px},{f.n_instances},{f.cpu_ms!r},"
+        f"{f.accel_ms!r},{f.net_out_ms + f.net_back_ms!r},{f.e2e_ms!r},{f.state}\n"
+        for f in report.frames
+    )
+    return ",".join(FRAME_COLUMNS) + "\n" + "".join(rows)
+
+
+class TestFrameColumns:
+    """Frames are written from the engine's columns, with every value's
+    own type: a column the scenario fills may hold ints."""
+
+    def test_int_values_keep_their_type(self, tmp_path):
+        report = run(int_valued_scenario(), seed=1)
+        first = report.frames[0]
+        assert type(first.qos_ms) is int and type(first.dispatched_at) is int
+        cli.write_outputs(report, tmp_path, "all")
+        text = (tmp_path / "report.json").read_text()
+        assert '"qos_ms": 150,' in text and '"dispatched_at": 2,' in text
+        assert text == reference_json(report)
+
+    @pytest.mark.parametrize("name", ["int-valued", *sorted(PRESET_SCENARIOS), "control-churn"])
+    def test_frames_csv_equals_the_per_record_f_string(self, name, tmp_path, workloads):
+        if name == "int-valued":
+            scenario = int_valued_scenario()
+        elif name == "control-churn":
+            scenario = workloads.build(name, 1)
+        else:
+            scenario = PRESET_SCENARIOS[name]()
+        report = run(scenario, seed=1)
+        cli.write_outputs(report, tmp_path, "csv")
+        assert (tmp_path / "frames.csv").read_text() == reference_csv(report)
+
+    def test_hand_built_records_match_the_per_record_f_string(self):
+        frames = [odd_frame(), odd_frame(frame_id=1, qos_ms=250, cpu_ms=math.nan, state="a,b")]
+        frames.append(TaggedFrame(**vars(odd_frame(frame_id=2, node="m"))))
+        report = odd_report(frames, [])
+        buf = io.StringIO()
+        cli.write_frames_csv(report, buf)
+        assert buf.getvalue() == reference_csv(report)
+
+
 class TestStreamedReport:
     @pytest.mark.parametrize("name", sorted(PRESET_SCENARIOS))
     def test_presets_match_the_reference_encoder(self, name, tmp_path):
@@ -564,7 +619,7 @@ class TestStreamedReport:
         scenario.end_devices = scenario.end_devices[:1]
         scenario.end_devices[0].start_s = scenario.sim.duration_s
         report = run(scenario, seed=1)
-        assert report.frames == [] and report.decision_log == [] and report.migrations == []
+        assert len(report.frames) == 0 and report.decision_log == [] and report.migrations == []
         assert streamed_json(report) == reference_json(report)
 
     def test_empty_sections(self):

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -21,6 +25,8 @@ from edgesim.net_model import StableParams
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import (
     _TIME_EPS,
+    FrameRecord,
+    FrameTable,
     Simulation,
     _entropy,
     _frame_count,
@@ -916,3 +922,121 @@ class TestFrameCount:
         assert len(sims[10.0]._queue) == len(sims[1e6]._queue)
         # dev-1: 0.5 + k / 4 < 1e6; dev-0: 1 + k < 1e6; dev-2: 6 + k / 2 < 1e6
         assert sims[1e6].counters["frames_generated"] == 3_999_998 + 999_999 + 1_999_988
+
+
+def exact(records):
+    """Each record's values with their types, so that 150 and 150.0 or 0.0
+    and -0.0 differ."""
+    return [[(type(value), repr(value)) for value in vars(record).values()] for record in records]
+
+
+def table_of(records):
+    table = FrameTable()
+    for record in records:
+        table.append(*vars(record).values())
+    return table
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: the engine's own float columns get floats; every other column may hold
+#: whatever the scenario gave, an int included
+frame_records = st.builds(
+    FrameRecord,
+    frame_id=st.integers(-(2**63), 2**63 - 1),
+    task_id=st.sampled_from(["task-a", "task-b"]),
+    end_device=st.sampled_from(["cam-0", "cam-1"]),
+    node=st.sampled_from(["edge-a", "edge-b"]),
+    dispatched_to=st.sampled_from(["edge-a", "edge-b"]),
+    frame_size_px=st.sampled_from([600, 1200]),
+    n_instances=st.integers(1, 4),
+    qos_ms=st.sampled_from([150, 150.0, 312.5]),
+    emitted_at=finite,
+    dispatched_at=st.integers(0, 5) | finite,
+    # few distinct instants, so that rows tie on completed_at
+    completed_at=st.sampled_from([-0.0, 0.5, 1.25, 1e9]),
+    net_out_ms=finite,
+    queueing_ms=finite,
+    cpu_ms=st.integers(0, 50) | finite,
+    accel_ms=finite,
+    model_load_ms=st.sampled_from([0, 0.0, 2000.0]),
+    processing_ms=finite,
+    net_back_ms=finite,
+    e2e_ms=finite,
+    state=st.sampled_from(["pass", "warning", "critical"]),
+)
+
+
+def mean_by_addition(values):
+    """The mean as the engine computes it: a running sum in order. Builtin
+    ``sum`` compensates float rounding from Python 3.12 on."""
+    values = list(values)
+    return functools.reduce(operator.add, values, 0.0) / len(values)
+
+
+class TestFrameTable:
+    """Completed frames are kept as columns and read back as records."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(frame_records, unique_by=lambda record: record.frame_id, max_size=40))
+    def test_sort_orders_rows_like_sorted_and_changes_no_value(self, records):
+        table = table_of(records)
+        table.sort()
+        assert exact(table) == exact(sorted(records, key=lambda r: (r.completed_at, r.frame_id)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(records=st.lists(frame_records, min_size=5, max_size=5))
+    def test_reads_like_the_list_of_its_records(self, records):
+        table = table_of(records)
+        assert len(table) == len(records) == 5
+        for i in (0, 3, -1, -5):
+            assert exact([table[i]]) == exact([records[i]])
+        for part in (slice(None), slice(1, 4), slice(None, None, -2), slice(-2, None), slice(7, 9)):
+            assert exact(table[part]) == exact(records[part])
+        assert exact(table) == exact(records)
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                table[i]
+
+    @pytest.mark.parametrize("build", [presets.overload_scenario, presets.fault_scenario])
+    def test_breakdown_equals_one_recomputed_from_the_records(self, build):
+        report = run(build(), seed=1)
+        groups = {}
+        for f in list(report.frames):
+            groups.setdefault((f.node, f.frame_size_px, f.n_instances), []).append(f)
+        assert len(groups) > 1
+        expected = [
+            {
+                "node": node,
+                "frame_size_px": size,
+                "n_instances": n,
+                "count": len(frames),
+                "mean_cpu_ms": mean_by_addition(f.cpu_ms for f in frames),
+                "mean_accel_ms": mean_by_addition(f.accel_ms for f in frames),
+                "mean_e2e_ms": mean_by_addition(f.e2e_ms for f in frames),
+            }
+            for (node, size, n), frames in sorted(groups.items())
+        ]
+        assert report.breakdown == expected
+
+    def test_completed_frames_hold_few_bytes(self, workloads):
+        # a frame kept as a frozen record held about 470 bytes; as columns
+        # it holds about 200. The margin allows for object sizes that vary
+        # between Python versions
+        scenario = workloads.stream_steady()
+        scenario.sim.duration_s = 300.0
+        sim = Simulation(scenario, seed=5)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            # a full collection also empties the interpreter's free lists
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            report = sim.run()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(report.frames) > 7000
+        assert held / len(report.frames) <= 300
