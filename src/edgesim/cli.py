@@ -28,7 +28,7 @@ import sys
 import tempfile
 from collections.abc import Iterator, Sequence
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -36,7 +36,7 @@ from . import presets
 from .errors import ConfigurationError, EdgesimError
 from .orchestrator import POLICIES
 from .scenario import Scenario, load_scenario, save_scenario, to_dict, validate
-from .sim_engine import FrameRecord, FrameTable, MetricsReport, run
+from .sim_engine import FrameTable, MetricsReport, run
 
 log = logging.getLogger("edgesim")
 
@@ -92,14 +92,9 @@ def _atomic_write(path: Path, emit: Callable[[TextIO], object]) -> None:
 
 
 def write_frames_csv(report: MetricsReport, handle: TextIO) -> None:
-    """One row per frame, filled from a ``FrameTable``'s columns, or from
-    the fields of each record of any other sequence."""
+    """One row per frame, filled from the frame table's columns."""
     handle.write(",".join(FRAME_COLUMNS) + "\n")
-    frames = report.frames
-    if type(frames) is FrameTable:
-        rows = zip(*map(frames.columns.__getitem__, _CSV_FIELDS))
-    else:
-        rows = map(attrgetter(*_CSV_FIELDS), frames)
+    rows = zip(*map(report.frames.columns.__getitem__, _CSV_FIELDS))
     handle.writelines(
         f"{time!r},{end_device},{node},{size},{n},{cpu!r},{accel!r},{out + back!r},{e2e!r},{state}\n"
         for time, end_device, node, size, n, cpu, accel, out, back, e2e, state in rows
@@ -145,7 +140,6 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 #: section elements per write: 256 frame rows are about 160 kB of text
 _CHUNK = 256
 
-_RECORD_VALUES = attrgetter(*FrameTable.FIELDS)
 #: a frame row of report.json: its keys sorted, nested two deep
 _FRAME_KEYS = sorted(FrameTable.FIELDS)
 _FRAME_ROW = "{" + ",".join(f"\n      {_ESCAPE(name)}: %s" for name in _FRAME_KEYS) + "\n    }"
@@ -171,27 +165,14 @@ def _json_column(values: Sequence) -> list[str] | None:
     return list(map(text, values))
 
 
-def _frame_texts(frames: Sequence[FrameRecord]) -> Iterator[list[str]]:
-    """The frame rows of ``report.json``, ``_CHUNK`` at a time: slices of a
-    ``FrameTable``'s columns, or a list's records transposed into columns.
-    A chunk whose every column passes ``_json_column`` is filled into
-    ``_FRAME_ROW``; any other goes row by row through ``_element_text``,
-    each row as the dict ``to_dict()`` makes of it. So does a chunk with a
-    record that is not exactly a ``FrameRecord``, extra fields and all."""
-    if type(frames) is FrameTable:
-        columns = frames.columns
-        chunks = (
-            {name: column[start : start + _CHUNK] for name, column in columns.items()}
-            for start in range(0, len(frames), _CHUNK)
-        )
-    else:
-        chunks = _chunks(iter(frames))
-    for chunk in chunks:
-        if type(chunk) is list:
-            if not all(type(record) is FrameRecord for record in chunk):
-                yield [_element_text(dict(vars(record))) for record in chunk]
-                continue
-            chunk = dict(zip(FrameTable.FIELDS, zip(*map(_RECORD_VALUES, chunk))))
+def _frame_texts(frames: FrameTable) -> Iterator[list[str]]:
+    """The frame rows of ``report.json``, ``_CHUNK`` at a time, from slices
+    of the table's columns. A chunk whose every column passes
+    ``_json_column`` is filled into ``_FRAME_ROW``; any other goes row by
+    row through ``_element_text``, each row as the dict ``to_dict()`` makes
+    of it."""
+    for start in range(0, len(frames), _CHUNK):
+        chunk = {name: column[start : start + _CHUNK] for name, column in frames.columns.items()}
         texts = list(map(_json_column, map(chunk.__getitem__, _FRAME_KEYS)))
         if None in texts:
             yield [_element_text(dict(zip(chunk, row))) for row in zip(*chunk.values())]

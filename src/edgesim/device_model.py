@@ -29,8 +29,6 @@ class DeviceProfile:
     accelerator_kind: str
     calibration: dict[tuple[int, int], tuple[float, float]]
     model_load_ms: float = 2000.0
-    max_instances: int = 4
-    cpu_pre_fraction: float = 0.7
 
     def validate(self) -> None:
         if not self.calibration:
@@ -41,8 +39,6 @@ class DeviceProfile:
             )
         if self.model_load_ms < 0:
             raise ConfigurationError(f"device {self.name!r}: model_load_ms must be >= 0")
-        if not (0.0 <= self.cpu_pre_fraction <= 1.0):
-            raise ConfigurationError(f"device {self.name!r}: cpu_pre_fraction must be in [0, 1]")
         frames = self.frame_sizes()
         counts = self.instance_counts()
         for f in frames:
@@ -145,16 +141,6 @@ class InferenceTask:
     qos_ms: float
     service: str = "objd"
     host_node: str | None = None
-    created_at: float = 0.0
-
-    def validate(self) -> None:
-        if self.qos_ms <= 0:
-            raise ConfigurationError(f"task {self.task_id!r}: qos_ms must be > 0")
-        if self.frame_size_px < MIN_FRAME_SIZE_PX:
-            raise ConfigurationError(
-                f"task {self.task_id!r}: frame size {self.frame_size_px} below the "
-                f"model input minimum of {MIN_FRAME_SIZE_PX}"
-            )
 
 
 @dataclass
@@ -171,6 +157,11 @@ class NodeRuntime:
     faulted: bool = False
     quarantined: bool = False
     _components: dict[tuple[float, float], tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: ``service_request``'s result per (frame size, instance count) once
+    #: the model is loaded
+    _served: dict[tuple[int, int], tuple[int, float, float, float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -214,52 +205,34 @@ def remove_task(node: NodeRuntime, task_id: str) -> InferenceTask:
         raise AssignmentError(f"task {task_id!r} is not active on node {node.name!r}") from None
 
 
-@dataclass(frozen=True)
-class ProcessingOutcome:
-    """Per-step breakdown of one serviced request, all in ms."""
-
-    steps: dict[str, float]
-    total_processing_ms: float
-    cpu_ms: float
-    accel_ms: float
-    model_load_ms: float
-    n_instances: int
-
-
-def service_request(node: NodeRuntime, task: InferenceTask, now_s: float) -> ProcessingOutcome:
-    """Process one frame of an admitted task on a node.
+def service_request(node: NodeRuntime, task: InferenceTask) -> tuple[int, float, float, float, float]:
+    """Process one frame of an admitted task on a node: its ``(n_instances,
+    cpu_ms, accel_ms, model_load_ms, processing_ms)``, in ``FrameRecord``
+    field order.
 
     Components are read from the calibration surface at the node's current
     instance count (the serviced task included). Model load is charged
-    once per (node, model); later requests skip it. Reachability is
-    enforced at admission, so frames already at the node complete even if
-    it was quarantined after dispatch.
+    once per (node, model), first in the sum; later requests skip it and
+    get the node's one tuple for their (frame size, instance count).
+    Reachability is enforced at admission, so frames already at the node
+    complete even if it was quarantined after dispatch.
     """
     if task.task_id not in node.active_tasks:
         raise AssignmentError(
             f"task {task.task_id!r} is not admitted on node {node.name!r}"
         )
     n = node.n_instances
-    cpu_ms, accel_ms = node.components(task.frame_size_px, n)
-    steps: dict[str, float] = {}
-    load_ms = 0.0
-    if task.service not in node.loaded_models:
-        node.loaded_models.add(task.service)
-        load_ms = node.profile.model_load_ms
-        steps["model_load"] = load_ms
-    pre = node.profile.cpu_pre_fraction * cpu_ms
-    steps["cpu_pre"] = pre
-    steps["accel"] = accel_ms
-    steps["cpu_post"] = cpu_ms - pre
-    total = load_ms + cpu_ms + accel_ms
-    return ProcessingOutcome(
-        steps=steps,
-        total_processing_ms=total,
-        cpu_ms=cpu_ms,
-        accel_ms=accel_ms,
-        model_load_ms=load_ms,
-        n_instances=n,
-    )
+    key = (task.frame_size_px, n)
+    if task.service in node.loaded_models:
+        served = node._served.get(key)
+        if served is None:
+            cpu_ms, accel_ms = node.components(*key)
+            served = node._served[key] = (n, cpu_ms, accel_ms, 0.0, cpu_ms + accel_ms)
+        return served
+    cpu_ms, accel_ms = node.components(*key)
+    node.loaded_models.add(task.service)
+    load_ms = node.profile.model_load_ms
+    return n, cpu_ms, accel_ms, load_ms, load_ms + cpu_ms + accel_ms
 
 
 def preload_model(node: NodeRuntime, service: str) -> None:

@@ -1,4 +1,4 @@
-"""Simulated service networking: registry, name lookups, gossip accounting.
+"""Simulated service networking: registry, service lookups, gossip accounting.
 
 The registry is a single authoritative map standing in for a full
 control plane; consensus and membership gossip are abstracted to a
@@ -7,56 +7,11 @@ bandwidth accounting formula.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
-from .errors import ConfigurationError, LookupParseError
+from .errors import ConfigurationError
 from .net_model import Nlm, link_score
-
-LOOKUP_SUFFIX = ("inference", "service", "consul")
-_LABEL_RE = re.compile(r"^[a-z0-9-]+$")
 
 HEALTHY = "healthy"
 UNHEALTHY = "unhealthy"
-
-
-@dataclass(frozen=True)
-class LookupName:
-    """Parsed service lookup of the form ``<service>.inference.service.consul``."""
-
-    service: str
-    labels: tuple[str, ...] = LOOKUP_SUFFIX
-
-    def format(self) -> str:
-        return ".".join((self.service,) + self.labels)
-
-
-def parse_lookup(name: str) -> LookupName:
-    """Parse a DNS-style lookup name.
-
-    The grammar is exact and case-sensitive: a lowercase alphanumeric
-    (plus hyphen) service label followed by ``inference.service.consul``.
-    """
-    labels = name.split(".")
-    if len(labels) != 1 + len(LOOKUP_SUFFIX):
-        raise LookupParseError(
-            f"expected 4 labels <service>.{'.'.join(LOOKUP_SUFFIX)}, got {len(labels)} in {name!r}"
-        )
-    for label in labels:
-        if not label:
-            raise LookupParseError(f"empty label in {name!r}", label=label)
-        if not _LABEL_RE.match(label):
-            raise LookupParseError(
-                f"label {label!r} must be lowercase alphanumeric or hyphen", label=label
-            )
-    service, *suffix = labels
-    if tuple(suffix) != LOOKUP_SUFFIX:
-        bad = next(s for s, want in zip(suffix, LOOKUP_SUFFIX) if s != want)
-        raise LookupParseError(
-            f"label {bad!r} does not match required suffix {'.'.join(LOOKUP_SUFFIX)!r}",
-            label=bad,
-        )
-    return LookupName(service=service)
 
 
 class ServiceRegistry:

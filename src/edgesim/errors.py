@@ -17,14 +17,6 @@ class NotReadyError(EdgesimError):
     """A value was requested from state that has not been initialized."""
 
 
-class LookupParseError(EdgesimError):
-    """A service lookup name does not match the expected grammar."""
-
-    def __init__(self, message: str, label: str | None = None):
-        super().__init__(message)
-        self.label = label
-
-
 class RegistrationError(EdgesimError):
     """An operation referenced a task that was never registered."""
 

@@ -225,7 +225,7 @@ class _Frame:
     queue_node_ms: float = 0.0
     net_out_ms: float = 0.0
     net_back_ms: float = 0.0
-    outcome: object = None
+    outcome: tuple[int, float, float, float, float] | None = None
 
 
 @dataclass
@@ -331,7 +331,7 @@ class MetricsReport:
     policy: str
     offloading_enabled: bool
     duration_s: float
-    frames: Sequence[FrameRecord]
+    frames: FrameTable
     migrations: list[MigrationRecord]
     counters: dict
     instance_series: dict[str, list[tuple[float, int]]]
@@ -346,8 +346,8 @@ class MetricsReport:
 
     def sections(self) -> dict:
         """The top-level sections of ``to_dict()``, except that ``frames``
-        is the frames themselves, a ``FrameTable`` after a run, so a writer
-        can format its columns without copying each frame into a dict."""
+        is the ``FrameTable`` itself, so a writer can format its columns
+        without copying each frame into a dict."""
         return {
             "seed": self.seed,
             "policy": self.policy,
@@ -487,7 +487,6 @@ class Simulation:
                 frame_size_px=device.frame_size_px,
                 qos_ms=device.qos_ms,
                 service=device.service,
-                created_at=device.start_s,
             )
             ts = self.tasks[task.task_id] = _TaskState(task, device, next(self._ranks))
             n_frames = _frame_count(device.start_s, device.fps, duration)
@@ -647,13 +646,13 @@ class Simulation:
             return
         node = self.nodes[ts.task.host_node]
         frame = ts.queue.popleft()
-        outcome = service_request(node, ts.task, self.now)
+        frame.outcome = service_request(node, ts.task)
         ts.busy_frame = frame
         frame.queue_node_ms = (self.now - frame.arrived_at) * 1000.0
         frame.node = node.name
-        frame.outcome = outcome
-        self.busy_ms[node.name] += outcome.total_processing_ms
-        done_at = self.now + outcome.total_processing_ms / 1000.0
+        processing_ms = frame.outcome[-1]
+        self.busy_ms[node.name] += processing_ms
+        done_at = self.now + processing_ms / 1000.0
         self._schedule(done_at, next(self._ranks), self._on_processing_complete, frame)
 
     def _on_processing_complete(self, frame: _Frame) -> None:
@@ -662,10 +661,10 @@ class Simulation:
         # serving at its new host
         if ts.busy_frame is frame:
             ts.busy_frame = None
-        outcome = frame.outcome
+        n_instances, cpu_ms, accel_ms, model_load_ms, processing_ms = frame.outcome
         frame.net_back_ms = self.nlm.sample_and_observe(frame.node, frame.end_device_id, self.now)
         queueing = frame.engine_wait_ms + frame.queue_node_ms
-        e2e = frame.net_out_ms + queueing + outcome.total_processing_ms + frame.net_back_ms
+        e2e = frame.net_out_ms + queueing + processing_ms + frame.net_back_ms
         state = classify(e2e, frame.qos_ms, self.warn_fraction, self.critical_fraction)
         completed_at = self.now + frame.net_back_ms / 1000.0
         # one value per FrameRecord field, in field order
@@ -676,17 +675,17 @@ class Simulation:
             frame.node,
             frame.dispatched_to,
             frame.frame_size_px,
-            outcome.n_instances,
+            n_instances,
             frame.qos_ms,
             frame.emitted_at,
             frame.dispatched_at,
             completed_at,
             frame.net_out_ms,
             queueing,
-            outcome.cpu_ms,
-            outcome.accel_ms,
-            outcome.model_load_ms,
-            outcome.total_processing_ms,
+            cpu_ms,
+            accel_ms,
+            model_load_ms,
+            processing_ms,
             frame.net_back_ms,
             e2e,
             state,

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-from edgesim.sim_engine import MetricsReport
+from edgesim.sim_engine import FrameTable, MetricsReport
 
 _EPS = 1e-9
+
+
+def table_of(records) -> FrameTable:
+    """A frame table holding ``records``, in order."""
+    table = FrameTable()
+    for record in records:
+        table.append(*vars(record).values())
+    return table
 
 
 def check_frame_identities(report: MetricsReport) -> None:

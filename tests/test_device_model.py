@@ -9,7 +9,6 @@ from edgesim.device_model import (
     DeviceProfile,
     InferenceTask,
     NodeRuntime,
-    ProcessingOutcome,
     admit_task,
     predict_components,
     preload_model,
@@ -23,8 +22,8 @@ from edgesim.orchestrator import AllocationWeights, node_weights
 ACCEL_600_N1 = {"upsquared": 62.65, "jetson-nano": 79.59, "coral": 71.81}
 
 
-def make_task(task_id="task-1", frame=600, qos=150.0):
-    return InferenceTask(task_id=task_id, end_device_id="rpi-1", frame_size_px=frame, qos_ms=qos)
+def make_task(task_id="task-1", frame=600):
+    return InferenceTask(task_id=task_id, end_device_id="rpi-1", frame_size_px=frame, qos_ms=150.0)
 
 
 class TestCalibrationAnchors:
@@ -196,20 +195,24 @@ class TestServiceRequest:
         node = NodeRuntime(profile=profiles["upsquared"])
         task = make_task()
         admit_task(node, task)
-        first = service_request(node, task, 0.0)
-        assert first.model_load_ms == 2000.0
-        assert "model_load" in first.steps
-        second = service_request(node, task, 1.0)
-        assert second.model_load_ms == 0.0
-        assert "model_load" not in second.steps
-        assert second.total_processing_ms == pytest.approx(25.00 + 62.65)
+        first = service_request(node, task)
+        assert first == (1, 25.00, 62.65, 2000.0, 2000.0 + 25.00 + 62.65)
+        second = service_request(node, task)
+        assert second == (1, 25.00, 62.65, 0.0, 25.00 + 62.65)
 
     def test_preload_skips_step_zero(self, profiles):
         node = NodeRuntime(profile=profiles["coral"])
         preload_model(node, "objd")
         task = make_task()
         admit_task(node, task)
-        assert service_request(node, task, 0.0).model_load_ms == 0.0
+        assert service_request(node, task)[3] == 0.0
+
+    def test_loaded_node_returns_one_tuple_per_key(self, profiles):
+        node = NodeRuntime(profile=profiles["coral"])
+        preload_model(node, "objd")
+        task = make_task()
+        admit_task(node, task)
+        assert service_request(node, task) is service_request(node, task)
 
     def test_components_read_post_admission(self, profiles):
         node = NodeRuntime(profile=profiles["upsquared"])
@@ -218,9 +221,9 @@ class TestServiceRequest:
             admit_task(node, make_task(task_id=f"bg-{i}"))
         third = make_task(task_id="task-3")
         admit_task(node, third)
-        outcome = service_request(node, third, 0.0)
-        assert outcome.n_instances == 3
-        assert (outcome.cpu_ms, outcome.accel_ms) == (47.50, 93.97)
+        n_instances, cpu_ms, accel_ms, _, _ = service_request(node, third)
+        assert n_instances == 3
+        assert (cpu_ms, accel_ms) == (47.50, 93.97)
 
     def test_degenerate_table_sums_linearly(self):
         eps = 1e-6
@@ -231,18 +234,7 @@ class TestServiceRequest:
         node = NodeRuntime(profile=profile)
         task = make_task()
         admit_task(node, task)
-        outcome = service_request(node, task, 0.0)
-        assert outcome.total_processing_ms == pytest.approx(2 * eps, rel=1e-9)
-
-    def test_cpu_split_follows_pre_fraction(self, profiles):
-        node = NodeRuntime(profile=profiles["jetson-nano"])
-        preload_model(node, "objd")
-        task = make_task()
-        admit_task(node, task)
-        outcome = service_request(node, task, 0.0)
-        assert outcome.steps["cpu_pre"] == pytest.approx(0.7 * 12.00)
-        assert outcome.steps["cpu_post"] == pytest.approx(0.3 * 12.00)
-        assert outcome.steps["cpu_pre"] + outcome.steps["cpu_post"] == pytest.approx(outcome.cpu_ms)
+        assert service_request(node, task)[-1] == pytest.approx(2 * eps, rel=1e-9)
 
     def test_unreachable_node_rejects_admission(self, profiles):
         node = NodeRuntime(profile=profiles["coral"], faulted=True)
@@ -252,7 +244,7 @@ class TestServiceRequest:
     def test_unadmitted_task_rejected(self, profiles):
         node = NodeRuntime(profile=profiles["coral"])
         with pytest.raises(AssignmentError):
-            service_request(node, make_task(), 0.0)
+            service_request(node, make_task())
 
     def test_remove_task(self, profiles):
         node = NodeRuntime(profile=profiles["coral"])
@@ -261,16 +253,6 @@ class TestServiceRequest:
         assert remove_task(node, task.task_id) is task
         with pytest.raises(AssignmentError):
             remove_task(node, task.task_id)
-
-
-class TestInferenceTask:
-    def test_small_frames_rejected(self):
-        with pytest.raises(ConfigurationError, match="frame size"):
-            make_task(frame=299).validate()
-
-    def test_nonpositive_qos_rejected(self):
-        with pytest.raises(ConfigurationError, match="qos"):
-            make_task(qos=0.0).validate()
 
 
 class TestComponentsMemo:
@@ -282,17 +264,16 @@ class TestComponentsMemo:
     def test_service_request_matches_predict_components(self, build, monkeypatch):
         served = []
 
-        def spy(node, task, now_s):
-            outcome = service_request(node, task, now_s)
+        def spy(node, task):
+            outcome = service_request(node, task)
             served.append((node.profile, task.frame_size_px, outcome))
             return outcome
 
         monkeypatch.setattr(sim_engine, "service_request", spy)
         sim_engine.run(build(), seed=1)
         assert served
-        for profile, frame, outcome in served:
-            expected = predict_components(profile, frame, outcome.n_instances)
-            assert (outcome.cpu_ms, outcome.accel_ms) == expected
+        for profile, frame, (n_instances, cpu_ms, accel_ms, _, _) in served:
+            assert (cpu_ms, accel_ms) == predict_components(profile, frame, n_instances)
 
     def test_repeated_key_computed_once(self, profiles, monkeypatch):
         calls = []
@@ -305,11 +286,11 @@ class TestComponentsMemo:
         node = NodeRuntime(profile=profiles["coral"])
         task = make_task(frame=800)  # off the grid: interpolated
         admit_task(node, task)
-        first = service_request(node, task, 0.0)
-        second = service_request(node, task, 1.0)
+        first = service_request(node, task)
+        second = service_request(node, task)
         assert calls == [(800, 1)]
         expected = predict_components(profiles["coral"], 800, 1)
-        assert (first.cpu_ms, first.accel_ms) == (second.cpu_ms, second.accel_ms) == expected
+        assert first[1:3] == second[1:3] == expected
 
     def test_bad_arguments_raise_on_every_call(self, profiles):
         node = NodeRuntime(profile=profiles["coral"])

@@ -2,51 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesim.discovery import (
-    LookupName,
-    ServiceRegistry,
-    gossip_bandwidth,
-    parse_lookup,
-    resolve,
-)
-from edgesim.errors import ConfigurationError, LookupParseError
+from edgesim.discovery import ServiceRegistry, gossip_bandwidth, resolve
+from edgesim.errors import ConfigurationError
 from edgesim.net_model import Nlm, StableParams
-
-service_labels = st.from_regex(r"[a-z0-9-]+", fullmatch=True).filter(bool)
-
-
-class TestParseLookup:
-    def test_canonical_name(self):
-        assert parse_lookup("objd.inference.service.consul").service == "objd"
-
-    def test_uppercase_rejected(self):
-        with pytest.raises(LookupParseError) as exc:
-            parse_lookup("OBJD.inference.service.consul")
-        assert exc.value.label == "OBJD"
-
-    def test_missing_label_rejected(self):
-        with pytest.raises(LookupParseError, match="4 labels"):
-            parse_lookup("objd.inference.consul")
-
-    def test_wrong_suffix_names_offender(self):
-        with pytest.raises(LookupParseError) as exc:
-            parse_lookup("objd.inference.node.consul")
-        assert exc.value.label == "node"
-
-    def test_empty_service_rejected(self):
-        with pytest.raises(LookupParseError, match="empty label"):
-            parse_lookup(".inference.service.consul")
-
-    def test_illegal_character_rejected(self):
-        with pytest.raises(LookupParseError) as exc:
-            parse_lookup("ob_jd.inference.service.consul")
-        assert exc.value.label == "ob_jd"
-
-    @given(service=service_labels)
-    @settings(max_examples=200)
-    def test_round_trip(self, service):
-        name = LookupName(service=service)
-        assert parse_lookup(name.format()) == name
 
 
 def build_registry(nodes=("edge-a", "edge-b", "edge-c")):

@@ -26,7 +26,6 @@ from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import (
     _TIME_EPS,
     FrameRecord,
-    FrameTable,
     Simulation,
     _entropy,
     _frame_count,
@@ -37,7 +36,7 @@ from edgesim.sim_engine import (
     substreams,
 )
 
-from engine_checks import check_conservation, check_report, downtime_windows
+from engine_checks import check_conservation, check_report, downtime_windows, table_of
 
 
 def mini_profile(name, cpu=10.0, accel=20.0):
@@ -930,13 +929,6 @@ def exact(records):
     return [[(type(value), repr(value)) for value in vars(record).values()] for record in records]
 
 
-def table_of(records):
-    table = FrameTable()
-    for record in records:
-        table.append(*vars(record).values())
-    return table
-
-
 finite = st.floats(allow_nan=False, allow_infinity=False)
 #: the engine's own float columns get floats; every other column may hold
 #: whatever the scenario gave, an int included
@@ -1020,8 +1012,9 @@ class TestFrameTable:
 
     def test_completed_frames_hold_few_bytes(self, workloads):
         # a frame kept as a frozen record held about 470 bytes; as columns
-        # it holds about 200. The margin allows for object sizes that vary
-        # between Python versions
+        # it holds about 180, its processing time being the node's shared
+        # float once the model is loaded. The margin allows for object
+        # sizes that vary between Python versions
         scenario = workloads.stream_steady()
         scenario.sim.duration_s = 300.0
         sim = Simulation(scenario, seed=5)
