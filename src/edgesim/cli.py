@@ -5,12 +5,13 @@ per completed frame, sorted by completion time then frame id),
 ``decisions.log`` (orchestrator decision entries, one JSON object per
 line), and ``summary.txt``. Files are written atomically. ``report.json``
 holds the bytes of ``json.dumps(report.to_dict(), sort_keys=True,
-indent=2)`` plus a newline, and no list or object section of it is built
-whole: each goes to disk a chunk of elements at a time. Frames are
-formatted from the run's ``FrameTable`` a column at a time. Any other
-flat row (str keys; str, int or finite float values) is filled into a
-cached %-template; any other element goes through ``json.dumps`` on its
-own.
+indent=2)`` plus a newline, and each ``decisions.log`` line those of
+``json.dumps(entry, sort_keys=True)``. Neither file is built whole: one
+formatter writes both a chunk of rows at a time. A chunk of flat rows
+(frames from the run's ``FrameTable``, or dicts that share two or more
+str keys) is formatted a column at a time and filled into a cached
+%-template; any other chunk goes through ``json.dumps`` an element at a
+time.
 Verbosity is controlled by the ``EDGESIM_LOG`` environment variable
 (error|info|debug).
 """
@@ -26,8 +27,8 @@ import os
 import re
 import sys
 import tempfile
-from collections.abc import Iterator, Sequence
-from itertools import islice
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, TextIO
@@ -101,16 +102,6 @@ def write_frames_csv(report: MetricsReport, handle: TextIO) -> None:
     )
 
 
-#: one encoder for every decisions.log line; json.dumps(..., sort_keys=True)
-#: would build a new one per line
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def write_decisions_log(report: MetricsReport, handle: TextIO) -> None:
-    encode = _LINE_ENCODER.encode
-    handle.writelines(encode(entry) + "\n" for entry in report.decision_log)
-
-
 def summary_text(report: MetricsReport) -> str:
     c = report.counters
     lines = [
@@ -134,95 +125,100 @@ def summary_text(report: MetricsReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# report.json, written a chunk of section elements at a time
+# report.json and decisions.log, written a chunk of rows at a time
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-#: section elements per write: 256 frame rows are about 160 kB of text
+#: rows per write: 256 frame rows are about 160 kB of text
 _CHUNK = 256
 
-#: a frame row of report.json: its keys sorted, nested two deep
-_FRAME_KEYS = sorted(FrameTable.FIELDS)
-_FRAME_ROW = "{" + ",".join(f"\n      {_ESCAPE(name)}: %s" for name in _FRAME_KEYS) + "\n    }"
-#: the JSON text of a value whose type is exactly one of these
-_JSON_TEXT = {float: float.__repr__, int: int.__repr__, str: _ESCAPE}
-
-
-def _chunks(items: Iterator) -> Iterator[list]:
-    while chunk := list(islice(items, _CHUNK)):
-        yield chunk
+#: a row's text before its first key, between its values and after its last:
+#: a report.json row nested two deep, and a compact decisions.log line
+_REPORT_ROW = ("{\n      ", ",\n      ", "\n    }")
+_LOG_LINE = ("{", ", ", "}\n")
+_FRAME_KEYS = tuple(sorted(FrameTable.FIELDS))
 
 
 def _json_column(values: Sequence) -> list[str] | None:
     """The JSON text of each value, in one pass; None unless the values are
-    all exactly ``str``, all exactly ``int`` or all exactly ``float`` and
-    finite."""
+    all exactly ``str``, all exactly ``int``, or exactly ``int`` and
+    ``float`` with every float finite."""
     kinds = set(map(type, values))
-    text = _JSON_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if kinds == {str}:
+        return list(map(_ESCAPE, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
     # the sum of finite floats may overflow, but any NaN or infinity makes
-    # it non-finite; an overflow only costs the row path
-    if text is None or (text is float.__repr__ and not math.isfinite(sum(values))):
+    # it non-finite; an overflow only costs the reference encoder
+    if kinds == {float} and math.isfinite(sum(values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int, float} and math.isfinite(sum(v for v in values if type(v) is float)):
+        return list(map(repr, values))
+    return None
+
+
+@functools.lru_cache(maxsize=256)
+def _template(names: tuple, layout: tuple) -> str:
+    """The %-template of a row with these keys, in this order."""
+    start, sep, end = layout
+    # a key is template text, so its own % signs are doubled
+    return start + sep.join(_ESCAPE(name).replace("%", "%%") + ": %s" for name in names) + end
+
+
+def _filled(names: tuple, columns: Iterable[Sequence], layout: tuple) -> list[str] | None:
+    """The rows whose values under the sorted keys ``names`` are
+    ``columns``, filled into their template; None unless every column
+    passes ``_json_column``."""
+    texts = list(map(_json_column, columns))
+    if None in texts:
         return None
-    return list(map(text, values))
+    return list(map(_template(names, layout).__mod__, zip(*texts)))
 
 
-def _frame_texts(frames: FrameTable) -> Iterator[list[str]]:
+def _row_names(chunk: Sequence) -> tuple | None:
+    """The sorted keys of a chunk of rows: dicts that share one set of two
+    or more str keys, in any order. None if the chunk is not such."""
+    keys = chunk[0].keys() if type(chunk[0]) is dict else ()
+    if len(keys) < 2 or not all(type(name) is str for name in keys):
+        return None
+    if not all(type(item) is dict and item.keys() == keys for item in chunk):
+        return None
+    return tuple(sorted(keys))
+
+
+def _rows(elements: Sequence, layout: tuple, fallback: Callable[[object], str]) -> Iterator[list[str]]:
+    """The text of each element, ``_CHUNK`` at a time: a chunk of rows
+    filled a column at a time, any other chunk, or one with a value that
+    ``_json_column`` does not take, through ``fallback`` one by one."""
+    for start in range(0, len(elements), _CHUNK):
+        chunk = elements[start : start + _CHUNK]
+        names = _row_names(chunk)
+        texts = names and _filled(names, zip(*map(itemgetter(*names), chunk)), layout)
+        yield texts or list(map(fallback, chunk))
+
+
+def _frame_rows(frames: FrameTable) -> Iterator[list[str]]:
     """The frame rows of ``report.json``, ``_CHUNK`` at a time, from slices
-    of the table's columns. A chunk whose every column passes
-    ``_json_column`` is filled into ``_FRAME_ROW``; any other goes row by
-    row through ``_element_text``, each row as the dict ``to_dict()`` makes
-    of it."""
+    of the table's columns; a chunk that ``_filled`` refuses goes through
+    the reference encoder row by row, each row as the dict ``to_dict()``
+    makes of it."""
+    columns = list(map(frames.columns.__getitem__, _FRAME_KEYS))
     for start in range(0, len(frames), _CHUNK):
-        chunk = {name: column[start : start + _CHUNK] for name, column in frames.columns.items()}
-        texts = list(map(_json_column, map(chunk.__getitem__, _FRAME_KEYS)))
-        if None in texts:
-            yield [_element_text(dict(zip(chunk, row))) for row in zip(*chunk.values())]
-        else:
-            yield list(map(_FRAME_ROW.__mod__, zip(*texts)))
+        chunk = [column[start : start + _CHUNK] for column in columns]
+        texts = _filled(_FRAME_KEYS, chunk, _REPORT_ROW)
+        yield texts or [_dumps(dict(zip(_FRAME_KEYS, row))) for row in zip(*chunk)]
 
 
-def _dumps(value: object, level: int) -> str:
+def _dumps(value: object, level: int = 2) -> str:
     """The reference encoder's text of ``value`` nested ``level`` deep, or
     its TypeError. Its strings hold no raw newline, so re-indenting is
     safe."""
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
-@functools.lru_cache(maxsize=256)
-def _row_plan(names: tuple, kinds: tuple) -> tuple | None:
-    """For a section element with these keys and value types, in its own
-    order: its %-template, a getter of its values in sorted key order, and
-    the positions of its str and its float values there. None unless it is
-    a flat row: two or more str keys, every value a str, int or float."""
-    if len(names) < 2 or not all(type(name) is str for name in names):
-        return None
-    if not all(kind is str or kind is int or kind is float for kind in kinds):
-        return None
-    names, kinds = zip(*sorted(zip(names, kinds)))
-    # a key is template text, so its own % signs are doubled
-    keys = [_ESCAPE(name).replace("%", "%%") for name in names]
-    body = ",".join(f"\n      {key}: {'%s' if kind is str else '%r'}" for key, kind in zip(keys, kinds))
-    strings = tuple(i for i, kind in enumerate(kinds) if kind is str)
-    floats = tuple(i for i, kind in enumerate(kinds) if kind is float)
-    return "{" + body + "\n    }", itemgetter(*names), strings, floats
-
-
-def _element_text(item: object) -> str:
-    """A section element, nested two deep: a flat row filled into its
-    template, anything else, a float that is not finite included, through
-    the reference encoder."""
-    plan = _row_plan(tuple(item), tuple(map(type, item.values()))) if type(item) is dict else None
-    if plan is None:
-        return _dumps(item, 2)
-    template, getter, strings, floats = plan
-    values = getter(item)
-    # the sum of finite floats may overflow, but any NaN or infinity makes
-    # it non-finite; an overflow only costs the reference encoder
-    if floats and not math.isfinite(sum([values[i] for i in floats])):
-        return _dumps(item, 2)
-    args = list(values)
-    for i in strings:
-        args[i] = _ESCAPE(args[i])
-    return template % tuple(args)
+def write_decisions_log(report: MetricsReport, handle: TextIO) -> None:
+    """One ``json.dumps(entry, sort_keys=True)`` line per decision entry."""
+    lines = _rows(report.decision_log, _LOG_LINE, lambda entry: json.dumps(entry, sort_keys=True) + "\n")
+    handle.writelines(chain.from_iterable(lines))
 
 
 def write_report_json(report: MetricsReport, handle: TextIO) -> None:
@@ -237,12 +233,15 @@ def write_report_json(report: MetricsReport, handle: TextIO) -> None:
         sep = ","
         kind = type(section)
         if name == "frames":
-            brackets, chunks = "[]", _frame_texts(section)
+            brackets, chunks = "[]", _frame_rows(section)
         elif kind is list or kind is tuple:
-            brackets, chunks = "[]", _chunks(map(_element_text, section))
+            brackets, chunks = "[]", _rows(section, _REPORT_ROW, _dumps)
         elif kind is dict and all(type(key) is str for key in section):
-            texts = (_ESCAPE(key) + ": " + _element_text(section[key]) for key in sorted(section))
-            brackets, chunks = "{}", _chunks(texts)
+            keys = sorted(section)
+            texts = _rows(list(map(section.__getitem__, keys)), _REPORT_ROW, _dumps)
+            # zip takes a text before its head, so no chunk's end takes a head
+            heads = (_ESCAPE(key) + ": " for key in keys)
+            brackets, chunks = "{}", ([head + text for text, head in zip(chunk, heads)] for chunk in texts)
         else:
             handle.write(_dumps(section, 1))
             continue

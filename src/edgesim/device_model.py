@@ -136,7 +136,6 @@ class InferenceTask:
     """One continuously running detection instance bound to a stream."""
 
     task_id: str
-    end_device_id: str
     frame_size_px: int
     qos_ms: float
     service: str = "objd"

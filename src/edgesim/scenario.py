@@ -144,7 +144,6 @@ class SimConfig:
     seed: int = 42
     health_epoch_interval_s: float = 1.0
     preload_models: bool = True
-    profiler_window: int = 20
 
     def validate(self) -> None:
         if not (0 < self.duration_s < math.inf):
@@ -153,8 +152,6 @@ class SimConfig:
             raise ConfigurationError("sim.seed must be an unsigned 64-bit integer")
         if self.health_epoch_interval_s <= 0:
             raise ConfigurationError("sim.health_epoch_interval_s must be > 0")
-        if self.profiler_window < 1:
-            raise ConfigurationError("sim.profiler_window must be >= 1")
 
 
 @dataclass

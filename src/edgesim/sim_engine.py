@@ -439,7 +439,7 @@ class Simulation:
         scenario = self.scenario
         for profile in sorted(scenario.devices, key=lambda p: p.name):
             self.nodes[profile.name] = NodeRuntime(profile=profile)
-            self.profilers[profile.name] = ProfilerState(window=scenario.sim.profiler_window)
+            self.profilers[profile.name] = ProfilerState()
             self.health[profile.name] = HealthState(app_states={}, system_state=PASS)
             self._ok_since[profile.name] = 0.0
             self.instance_series[profile.name] = [(0.0, 0)]
@@ -483,7 +483,6 @@ class Simulation:
         for device in sorted(scenario.end_devices, key=lambda d: d.id):
             task = InferenceTask(
                 task_id=f"task-{device.id}",
-                end_device_id=device.id,
                 frame_size_px=device.frame_size_px,
                 qos_ms=device.qos_ms,
                 service=device.service,
@@ -996,35 +995,21 @@ class Simulation:
         frames = self.records
         frames.sort()
         self.counters["frames_in_flight_at_end"] = self._frames_in_flight()
-        breakdown_map: dict[tuple[str, int, int], dict] = {}
+        # one [count, cpu, accel, e2e] total per (node, frame size, instances)
+        totals: dict[tuple[str, int, int], list] = {}
         names = ("node", "frame_size_px", "n_instances", "cpu_ms", "accel_ms", "e2e_ms")
         rows = zip(*map(frames.columns.__getitem__, names))
         for node, frame_size_px, n_instances, cpu_ms, accel_ms, e2e_ms in rows:
-            key = (node, frame_size_px, n_instances)
-            agg = breakdown_map.setdefault(
-                key,
-                {"node": key[0], "frame_size_px": key[1], "n_instances": key[2],
-                 "count": 0, "cpu_ms_total": 0.0, "accel_ms_total": 0.0, "e2e_ms_total": 0.0},
-            )
-            agg["count"] += 1
-            agg["cpu_ms_total"] += cpu_ms
-            agg["accel_ms_total"] += accel_ms
-            agg["e2e_ms_total"] += e2e_ms
-        breakdown = []
-        for key in sorted(breakdown_map):
-            agg = breakdown_map[key]
-            count = agg["count"]
-            breakdown.append(
-                {
-                    "node": agg["node"],
-                    "frame_size_px": agg["frame_size_px"],
-                    "n_instances": agg["n_instances"],
-                    "count": count,
-                    "mean_cpu_ms": agg["cpu_ms_total"] / count,
-                    "mean_accel_ms": agg["accel_ms_total"] / count,
-                    "mean_e2e_ms": agg["e2e_ms_total"] / count,
-                }
-            )
+            agg = totals.setdefault((node, frame_size_px, n_instances), [0, 0.0, 0.0, 0.0])
+            agg[0] += 1
+            agg[1] += cpu_ms
+            agg[2] += accel_ms
+            agg[3] += e2e_ms
+        breakdown = [
+            {"node": node, "frame_size_px": frame_size_px, "n_instances": n_instances, "count": count,
+             "mean_cpu_ms": cpu / count, "mean_accel_ms": accel / count, "mean_e2e_ms": e2e / count}
+            for (node, frame_size_px, n_instances), (count, cpu, accel, e2e) in sorted(totals.items())
+        ]
         duration_ms = self.scenario.sim.duration_s * 1000.0
         utilization = {name: self.busy_ms[name] / duration_ms for name in sorted(self.nodes)}
         gossip = self.scenario.network.gossip

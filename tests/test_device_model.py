@@ -23,7 +23,7 @@ ACCEL_600_N1 = {"upsquared": 62.65, "jetson-nano": 79.59, "coral": 71.81}
 
 
 def make_task(task_id="task-1", frame=600):
-    return InferenceTask(task_id=task_id, end_device_id="rpi-1", frame_size_px=frame, qos_ms=150.0)
+    return InferenceTask(task_id=task_id, frame_size_px=frame, qos_ms=150.0)
 
 
 class TestCalibrationAnchors:

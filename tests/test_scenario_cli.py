@@ -237,16 +237,15 @@ INT_FIELDS = [
     (("devices", 0, "calibration", 0), "n_instances"),
     (("end_devices", 0), "frame_size_px"),
     (("sim",), "seed"),
-    (("sim",), "profiler_window"),
 ]
 
 # sha256 of ``json.dumps(to_dict(preset), indent=2, sort_keys=True)``: the
 # document written before the codec was derived from the dataclasses, less
-# the two device fields since deleted as unread.
+# the two device fields and ``sim.profiler_window``, since deleted as unread.
 PRESET_SHA256 = {
-    "default": "c5f13f7efa1b210dbdb1bb4d403b1d0d742b142c2b64b7fe2a8cc7f573bdd952",
-    "overload": "97c94b98e8fcaf9a90d69c059219be6289f59ac5585c59f0765c94668a7e3825",
-    "fault": "8cfe3d09a95b95be90cadb6187539a47ed14ec7e468abe862425c480f0b73fe7",
+    "default": "669d7a069e810ce03f918248c31dd912bed8558548ccd7ee9fe51ac694e916a9",
+    "overload": "8ff6d27bf39c107d402eda8058798f12f3ad862c789087d900ed249d68cb0788",
+    "fault": "1d5db327b61459f932bdfbad982c1df27e0f08f24b4f4afe35045fc05f938d77",
 }
 
 
@@ -460,6 +459,16 @@ def reference_json(report: MetricsReport) -> str:
 def streamed_json(report: MetricsReport) -> str:
     buf = io.StringIO()
     cli.write_report_json(report, buf)
+    return buf.getvalue()
+
+
+def reference_log(report: MetricsReport) -> str:
+    return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in report.decision_log)
+
+
+def streamed_log(report: MetricsReport) -> str:
+    buf = io.StringIO()
+    cli.write_decisions_log(report, buf)
     return buf.getvalue()
 
 
@@ -713,6 +722,7 @@ class TestStreamedReport:
         report = odd_report([odd_frame(**values) for values in frames], decisions)
         report.nlm_snapshot = links
         assert streamed_json(report) == reference_json(report)
+        assert streamed_log(report) == reference_log(report)
 
     def test_failed_stream_leaves_the_old_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "report.json"
@@ -725,6 +735,68 @@ class TestStreamedReport:
             cli._atomic_write(path, lambda handle: cli.write_report_json(bad, handle))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("odd", [math.nan, True])
+    def test_odd_row_sends_only_its_own_chunk_to_the_encoder(self, odd, monkeypatch):
+        # 300 rows are two chunks of at most 256; row 270 is in the second
+        n, at = 300, 270
+        frames = [odd_frame(frame_id=i, cpu_ms=odd if i == at else 12.5) for i in range(n)]
+        decisions = [{"kind": "assign", "t": float(i), "decision": odd if i == at else "n"} for i in range(n)]
+        report = odd_report(frames, decisions)
+        report.nlm_snapshot = {f"a|{i:03d}": {"latest_ms": odd if i == at else 1.5, "i": i} for i in range(n)}
+        encoded = []
+        dumps = cli._dumps
+
+        def spy(value, level=2):
+            encoded.append(value)
+            return dumps(value, level)
+
+        monkeypatch.setattr(cli, "_dumps", spy)
+        assert streamed_json(report) == reference_json(report)
+        assert streamed_log(report) == reference_log(report)
+        rows = [value for value in encoded if type(value) is dict]
+        assert [row["frame_id"] for row in rows if "frame_id" in row] == list(range(256, n))
+        assert [row["t"] for row in rows if "kind" in row] == [float(i) for i in range(256, n)]
+        assert [row["i"] for row in rows if "latest_ms" in row] == list(range(256, n))
+
+    def test_one_chunk_of_rows_with_keys_in_different_orders(self):
+        # the keys are template text too
+        decisions = [
+            {"kind": "a", "t%s": 1.0, "%(node)s": "n"},
+            {"t%s": 2, "%(node)s": "m", "kind": "b"},
+            {"%(node)s": "o%", "kind": "c", "t%s": 3.5},
+        ]
+        report = odd_report([odd_frame()], decisions)
+        report.nlm_snapshot = {"x": {"b": 1, "a": "z"}, "y": {"a": "w", "b": 2.5}}
+        assert streamed_json(report) == reference_json(report)
+        assert streamed_log(report) == reference_log(report)
+        # rows with as many keys but not the same ones are no chunk of rows
+        report.decision_log = [{"a": 1, "b": 2}, {"a": 3, "c": 4}]
+        report.nlm_snapshot = {"x": {"a": "z", "b": 1}, "y": {"b": 2, "c": "w"}}
+        assert streamed_json(report) == reference_json(report)
+        assert streamed_log(report) == reference_log(report)
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            {},
+            {"t": math.nan},
+            {"t": -math.inf},
+            {"decision": True},
+            {"decision": None},
+            {"decision": {"nested": [1, 2.5, None]}},
+            {"%s": "%", "%(t)s": 1, "t%%": "%d"},
+        ],
+    )
+    def test_decisions_log_with_odd_rows(self, odd):
+        # the first time is an int among float times; {} leaves every row flat
+        decisions = [
+            {"decision": "n", "digest": "abc", "kind": "assign", "reason": "r", "t": float(i) if i else 0}
+            for i in range(4)
+        ]
+        decisions[2] = {**decisions[2], **odd}
+        report = odd_report([], decisions)
+        assert streamed_log(report) == reference_log(report)
 
     def test_decisions_log_lines_match_json_dumps(self, tmp_path):
         report = run(presets.overload_scenario(), seed=1)
