@@ -7,7 +7,7 @@ offloading, all driven by a reproducible discrete-event loop.
 """
 
 from .device_model import DeviceProfile, InferenceTask, NodeRuntime, predict_components
-from .net_model import EmaState, EmaWeights, Nlm, StableParams, sample_stable
+from .net_model import EmaWeights, Nlm, StableParams, sample_stable
 from .orchestrator import AllocationWeights, MigrationRecord, NodeWeight
 from .profiler_health import HealthState, ProfilerState, classify, evaluate_health
 from .scenario import EndDevice, Scenario, load_scenario, save_scenario, validate
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationWeights",
     "DeviceProfile",
-    "EmaState",
     "EmaWeights",
     "EndDevice",
     "HealthState",

@@ -36,7 +36,7 @@ from typing import Callable, TextIO
 from . import presets
 from .errors import ConfigurationError, EdgesimError
 from .orchestrator import POLICIES
-from .scenario import Scenario, load_scenario, save_scenario, to_dict, validate
+from .scenario import Scenario, is_seed, load_scenario, save_scenario, to_dict, validate
 from .sim_engine import FrameTable, MetricsReport, run
 
 log = logging.getLogger("edgesim")
@@ -277,6 +277,8 @@ def _parse_sweep(spec: str) -> list[int]:
     lo, hi = int(match.group(1)), int(match.group(2))
     if hi < lo:
         raise ConfigurationError(f"--sweep range is empty: {spec!r}")
+    if not is_seed(hi):  # checked before any run, so no seed's output is written
+        raise ConfigurationError(f"--sweep seed must be an unsigned 64-bit integer, got {hi}")
     return list(range(lo, hi + 1))
 
 

@@ -13,10 +13,6 @@ class TimeRegressionError(EdgesimError):
     """An update was applied with a timestamp earlier than the last one."""
 
 
-class NotReadyError(EdgesimError):
-    """A value was requested from state that has not been initialized."""
-
-
 class RegistrationError(EdgesimError):
     """An operation referenced a task that was never registered."""
 

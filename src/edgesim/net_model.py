@@ -4,6 +4,8 @@ the cluster-wide network latency matrix (NLM).
 Latency draws come from an alpha-stable law fitted offline to 5G
 measurements. Each link keeps load-average style EMAs over 1/5/15 minute
 horizons; their weighted sum is the composite score used to rank links.
+One floor, at which draws are clamped, and one budget, against which
+scores are classified, hold for every link of the matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NotReadyError, TimeRegressionError
+from .errors import ConfigurationError, TimeRegressionError
 from .profiler_health import PASS, classify
 
 #: EMA horizons in seconds (1, 5, 15 minutes).
@@ -128,17 +130,6 @@ def sample_stable(
     return float(sample_stable_many(params, rng, 1, floor_ms=floor_ms)[0])
 
 
-@dataclass(frozen=True, slots=True)
-class EmaState:
-    """Smoothed latency over the three horizons, in ms."""
-
-    ema_1m: float = 0.0
-    ema_5m: float = 0.0
-    ema_15m: float = 0.0
-    last_update: float = 0.0
-    initialized: bool = False
-
-
 def _decay(dt_s: float, horizon_s: float) -> float:
     """Share of the old EMA kept after ``dt_s`` seconds on one horizon."""
     return math.exp(-dt_s / horizon_s)
@@ -153,24 +144,6 @@ def _fold(ema, sample, decay):
 def _check_order(now_s: float, last_s: float) -> None:
     if now_s < last_s:
         raise TimeRegressionError(f"update at t={now_s} precedes last update t={last_s}")
-
-
-def ema_update(state: EmaState, sample_ms: float, now_s: float) -> EmaState:
-    """Fold one latency sample into the EMAs using continuous-time decay.
-
-    Each horizon h decays as ``ema <- sample + (ema - sample) * exp(-dt/h)``,
-    which makes the result independent of tick granularity for a constant
-    sample stream.
-    """
-    if not state.initialized:
-        return EmaState(sample_ms, sample_ms, sample_ms, now_s, True)
-    _check_order(now_s, state.last_update)
-    dt = now_s - state.last_update
-    emas = [
-        _fold(ema, sample_ms, _decay(dt, h))
-        for ema, h in zip((state.ema_1m, state.ema_5m, state.ema_15m), EMA_HORIZONS_S)
-    ]
-    return EmaState(emas[0], emas[1], emas[2], now_s, True)
 
 
 @dataclass(frozen=True)
@@ -193,50 +166,35 @@ class EmaWeights:
             )
 
 
-def composite_score(state: EmaState, weights: EmaWeights) -> float:
-    """Weighted sum of the three EMAs; lower is a better link."""
-    if not state.initialized:
-        raise NotReadyError("composite score requested before any sample")
-    return (
-        weights.w_1m * state.ema_1m
-        + weights.w_5m * state.ema_5m
-        + weights.w_15m * state.ema_15m
-    )
-
-
-@dataclass(slots=True)
-class LinkState:
-    """A link's constants and ``rng``, the generator its draws come from.
-
-    The draws themselves are buffered, and the EMAs kept, in the ``Nlm``
-    link table; ``floor_ms`` and ``params`` are read when a row is refilled.
-    """
-
-    params: StableParams
-    floor_ms: float = DEFAULT_FLOOR_MS
-    budget_ms: float = DEFAULT_LINK_BUDGET_MS
-    rng: np.random.Generator | None = None
-
-
 class Nlm:
     """Network latency matrix over all edge<->edge and edge<->device pairs.
 
-    Links are numbered in the order they are added, and both orders of a
-    pair map to one number, so coverage is symmetric by construction. The
-    EMAs, last update time and latest sample of every link are columns
-    indexed by that number: ``array`` columns, so a single link is read
-    and written as cheaply as a Python float, which ``probe_all`` views as
-    numpy arrays to fold a whole epoch at once. So is the draw buffer: row
-    i holds ``_BLOCK_CAP`` latencies of link i's stream, the next one at
-    column ``_cursor[i]``; a row whose cursor is the width is empty. Owned
-    by the event loop; queries are pure reads.
+    A link is its stable law and the generator its draws come from. Every
+    draw is clamped at the matrix's ``floor_ms``, and every score is
+    classified against its ``budget_ms``. Links are numbered in the order
+    they are added, and both orders of a pair map to one number, so
+    coverage is symmetric by construction. The EMAs, last update time and
+    latest sample of every link are columns indexed by that number:
+    ``array`` columns, so a single link is read and written as cheaply as
+    a Python float, which ``probe_all`` views as numpy arrays to fold a
+    whole epoch at once. So is the draw buffer: row i holds ``_BLOCK_CAP``
+    latencies of link i's stream, the next one at column ``_cursor[i]``;
+    a row whose cursor is the width is empty. Owned by the event loop;
+    queries are pure reads.
     """
 
-    def __init__(self, weights: EmaWeights | None = None):
+    def __init__(
+        self,
+        weights: EmaWeights | None = None,
+        floor_ms: float = DEFAULT_FLOOR_MS,
+        budget_ms: float = DEFAULT_LINK_BUDGET_MS,
+    ):
         self.weights = weights or EmaWeights()
         self.weights.validate()
+        self.floor_ms = floor_ms
+        self.budget_ms = budget_ms
         self._number: dict[tuple[str, str], int] = {}
-        self._links: list[LinkState] = []
+        self._links: list[tuple[StableParams, np.random.Generator | None]] = []
         self._pairs: list[tuple[str, str]] | None = None
         self._emas = tuple(array("d") for _ in EMA_HORIZONS_S)
         self._last_update = array("d")
@@ -247,22 +205,14 @@ class Nlm:
         self._draws = array("d")
         self._cursor = array("q")
 
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        params: StableParams,
-        floor_ms: float = DEFAULT_FLOOR_MS,
-        budget_ms: float = DEFAULT_LINK_BUDGET_MS,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def add_link(self, a: str, b: str, params: StableParams, rng: np.random.Generator | None = None) -> None:
         """Register a link; ``rng`` is the stream its draws come from.
 
         Registering a pair again replaces its link and clears its row.
         """
-        self.add_links([(a, b, LinkState(params, floor_ms, budget_ms, rng))])
+        self.add_links([(a, b, params, rng)])
 
-    def add_links(self, entries: Iterable[tuple[str, str, LinkState]]) -> None:
+    def add_links(self, entries: Iterable[tuple[str, str, StableParams, np.random.Generator | None]]) -> None:
         """Register links in order, as ``add_link`` on each entry in turn.
 
         Every entry is checked before anything changes, so a bad one
@@ -270,20 +220,20 @@ class Nlm:
         """
         entries = list(entries)
         checked = set()
-        for a, b, state in entries:
+        for a, b, params, _ in entries:
             if a == b:
                 raise ConfigurationError(f"link endpoints must differ, got {a!r} twice")
-            if state.params not in checked:
-                state.params.validate()
-                checked.add(state.params)
+            if params not in checked:
+                params.validate()
+                checked.add(params)
         old = len(self._links)
-        for a, b, state in entries:
+        for a, b, params, rng in entries:
             i = self._number.get((a, b))
             if i is None:
                 self._number[(a, b)] = self._number[(b, a)] = len(self._links)
-                self._links.append(state)
+                self._links.append((params, rng))
                 continue
-            self._links[i] = state
+            self._links[i] = (params, rng)
             if i < old:  # rows new in this batch are appended clear below
                 for column in self._columns:
                     column[i] = 0
@@ -309,9 +259,6 @@ class Nlm:
             return self._number[(a, b)]
         except KeyError:
             raise ConfigurationError(f"no link registered between {a!r} and {b!r}") from None
-
-    def link(self, a: str, b: str) -> LinkState:
-        return self._links[self._index(a, b)]
 
     def pairs(self) -> list[tuple[str, str]]:
         """Canonical (sorted) endpoint pairs, one per physical link.
@@ -397,49 +344,34 @@ class Nlm:
 
         Each link draws a row's width of (u, w) pairs from its own stream,
         so its row holds that stream's next scalar draws. The transform is
-        elementwise, so the links sharing (params, floor) share one call
-        per ``_REFILL_CHUNK`` rows. Every link is checked before any draws,
+        elementwise, so the links sharing params share one call per
+        ``_REFILL_CHUNK`` rows. Every link is checked before any draws,
         and no view is taken until then, so a raise changes nothing.
         """
-        groups: dict[tuple[StableParams, float], list[int]] = {}
+        groups: dict[StableParams, list[int]] = {}
         for i in rows:
-            link = self._links[i]
-            if link.rng is None:
+            params, rng = self._links[i]
+            if rng is None:
                 raise ConfigurationError("link has no random generator to draw from")
-            groups.setdefault((link.params, link.floor_ms), []).append(i)
-        for params, _ in groups:
-            params.validate()
+            groups.setdefault(params, []).append(i)
         width = self._width
         table = np.frombuffer(self._draws).reshape(-1, width)
-        for (params, floor_ms), members in groups.items():
+        for params, members in groups.items():
             for start in range(0, len(members), _REFILL_CHUNK):
                 chunk = members[start : start + _REFILL_CHUNK]
-                uniforms = np.concatenate([self._links[i].rng.random((width, 2)) for i in chunk])
-                table[chunk] = _transform(params, uniforms, floor_ms).reshape(-1, width)
+                uniforms = np.concatenate([self._links[i][1].random((width, 2)) for i in chunk])
+                table[chunk] = _transform(params, uniforms, self.floor_ms).reshape(-1, width)
                 for i in chunk:
                     self._cursor[i] = 0
-
-    def ema(self, a: str, b: str) -> EmaState:
-        """The link's EMAs as a value."""
-        i = self._index(a, b)
-        emas = (column[i] for column in self._emas)
-        return EmaState(*emas, self._last_update[i], bool(self._initialized[i]))
-
-    def latest_ms(self, a: str, b: str) -> float | None:
-        """The link's most recent sample, None before the first."""
-        return self._view(a, b)["latest_ms"]
 
     def score(self, a: str, b: str) -> float:
         """Composite score of the link, or +inf while uninitialized."""
         return self._score(self._index(a, b))
 
     def _score(self, i: int) -> float:
-        w, (e1, e5, e15) = self.weights, self._emas  # composite_score's order: the same bits
+        w, (e1, e5, e15) = self.weights, self._emas  # the scalar reference's order: the same bits
         score = w.w_1m * e1[i] + w.w_5m * e5[i] + w.w_15m * e15[i]
         return score if self._initialized[i] else math.inf
-
-    def status(self, a: str, b: str) -> str:
-        return self._view(a, b)["status"]
 
     def snapshot(self) -> dict[str, dict]:
         """Serializable view of every canonical link, sorted by endpoints."""
@@ -447,15 +379,14 @@ class Nlm:
 
     def _view(self, a: str, b: str) -> dict:
         """A link's score and its status, classified when read against the
-        link's budget; pass before any sample."""
+        matrix's budget; pass before any sample."""
         i = self._index(a, b)
         score = self._score(i) if self._initialized[i] else None
-        budget_ms = self._links[i].budget_ms
         return {
             "score_ms": score,
             "latest_ms": None if score is None else self._latest_ms[i],
-            "status": PASS if score is None else classify(score, budget_ms),
-            "budget_ms": budget_ms,
+            "status": PASS if score is None else classify(score, self.budget_ms),
+            "budget_ms": self.budget_ms,
         }
 
 

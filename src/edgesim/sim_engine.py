@@ -32,7 +32,7 @@ from .device_model import (
     service_request,
 )
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import LinkState, Nlm
+from .net_model import Nlm
 from .orchestrator import (
     POLICY_WEIGHTED,
     TRIGGER_APP,
@@ -64,7 +64,6 @@ __all__ = [
     "MetricsReport",
     "Simulation",
     "run",
-    "substream",
     "substreams",
 ]
 
@@ -91,11 +90,6 @@ class _SeedState(ISeedSequence):
         if (n_words, np.dtype(dtype)) != (len(self.state), self.state.dtype):
             raise ValueError(f"holds {len(self.state)} {self.state.dtype} words only")
         return self.state
-
-
-def substream(master_seed: int, label: str) -> np.random.Generator:
-    """Independent generator for one purpose, derived from the master seed."""
-    return substreams(master_seed, [label])[0]
 
 
 def substreams(master_seed: int, labels: Sequence[str]) -> list[np.random.Generator]:
@@ -429,7 +423,8 @@ class Simulation:
         self._finished = False
 
         self.services = sorted({d.service for d in scenario.end_devices})
-        self.nlm = Nlm(weights=scenario.network.ema_weights)
+        net = scenario.network
+        self.nlm = Nlm(net.ema_weights, net.floor_ms, net.link_budget_ms)
         self.registry = discovery.ServiceRegistry()
         self._setup()
 
@@ -460,8 +455,7 @@ class Simulation:
         # each link's stream is labelled by its sorted endpoints
         labels = [f"link:{min(a, b)}:{max(a, b)}" for a, b, _ in links]
         self.nlm.add_links(
-            (a, b, LinkState(params, net.floor_ms, net.link_budget_ms, rng))
-            for (a, b, params), rng in zip(links, substreams(self.seed, labels))
+            (a, b, params, rng) for (a, b, params), rng in zip(links, substreams(self.seed, labels))
         )
 
         # prime every link with one probe so the matrix is total from t=0
@@ -718,7 +712,7 @@ class Simulation:
 
         for name in sorted(self.nodes):
             new = evaluate_health(self.profilers[name], self.warn_fraction, self.critical_fraction)
-            prev = self.health.get(name)
+            prev = self.health[name]
             self._log_transitions(name, prev, new)
             self.health[name] = merge_since(prev, new, self.now)
             healthy = new.system_state != CRITICAL
@@ -730,15 +724,13 @@ class Simulation:
             self._offload_pass()
         self._drain_pending()
 
-    def _log_transitions(self, name: str, prev: HealthState | None, new: HealthState) -> None:
-        prev_sys = prev.system_state if prev else PASS
-        if new.system_state != prev_sys:
+    def _log_transitions(self, name: str, prev: HealthState, new: HealthState) -> None:
+        if new.system_state != prev.system_state:
             self.health_transitions.append(
-                {"t": self.now, "node": name, "scope": "system", "from": prev_sys, "to": new.system_state}
+                {"t": self.now, "node": name, "scope": "system", "from": prev.system_state, "to": new.system_state}
             )
-        prev_apps = prev.app_states if prev else {}
         for tid in sorted(new.app_states):
-            before = prev_apps.get(tid, PASS)
+            before = prev.app_states.get(tid, PASS)
             if new.app_states[tid] != before:
                 self.health_transitions.append(
                     {"t": self.now, "node": name, "scope": tid, "from": before, "to": new.app_states[tid]}

@@ -8,22 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesim import net_model
-from edgesim.errors import ConfigurationError, NotReadyError, TimeRegressionError
+from edgesim.errors import ConfigurationError, TimeRegressionError
 from edgesim.net_model import (
-    EmaState,
     EmaWeights,
-    LinkState,
     Nlm,
     StableParams,
-    composite_score,
-    ema_update,
     link_score,
     sample_stable,
     sample_stable_many,
 )
 from edgesim.profiler_health import CRITICAL, PASS, WARNING, classify
 
+from reference_engine import EmaState, composite_score, ema_update
+
 NO_FLOOR = -math.inf
+
+
+def ema_of(nlm, a, b):
+    """The link's EMA columns, as the reference's ``EmaState``."""
+    i = nlm._index(a, b)
+    return EmaState(*(column[i] for column in nlm._emas), nlm._last_update[i], bool(nlm._initialized[i]))
+
+
+def row(nlm, a, b):
+    """The link's ``Nlm.snapshot()`` row, for either order of its endpoints."""
+    return nlm.snapshot()[f"{min(a, b)}|{max(a, b)}"]
+
+
+def one_link(weights=None, budget_ms=net_model.DEFAULT_LINK_BUDGET_MS):
+    nlm = Nlm(weights, budget_ms=budget_ms)
+    nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
+    return nlm
 
 
 class TestStableParams:
@@ -102,8 +117,8 @@ class TestLinkBuffer:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 63, 64, 65, 200])
     def test_buffered_draws_equal_scalar_draws(self, branch, k):
         params = CMS_BRANCHES[branch]
-        nlm = Nlm()
-        nlm.add_link("edge-a", "cam-1", params, floor_ms=NO_FLOOR, rng=np.random.default_rng(11))
+        nlm = Nlm(floor_ms=NO_FLOOR)
+        nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(11))
         buffered = np.array([nlm.sample_and_observe("edge-a", "cam-1", 0.0) for _ in range(k)])
         gen = np.random.default_rng(11)
         scalars = np.array([sample_stable(params, gen, floor_ms=NO_FLOOR) for _ in range(k)])
@@ -120,7 +135,7 @@ class TestLinkBuffer:
         assert [nlm.sample_and_observe("edge-a", "cam-1", 5.0) for _ in range(before)] == stream[:before]
         with pytest.raises(TimeRegressionError):
             nlm.sample_and_observe("edge-a", "cam-1", 4.0)
-        assert nlm.latest_ms("edge-a", "cam-1") == stream[before - 1]
+        assert row(nlm, "edge-a", "cam-1")["latest_ms"] == stream[before - 1]
         assert nlm.sample_and_observe("edge-a", "cam-1", 6.0) == stream[before]
 
     def test_link_without_generator_cannot_draw(self):
@@ -131,30 +146,38 @@ class TestLinkBuffer:
 
 
 class TestEmaUpdate:
+    """``Nlm.observe`` folds a sample into the link's EMA columns."""
+
+    @staticmethod
+    def _observed(*samples):
+        nlm = one_link()
+        for sample_ms, now_s in samples:
+            nlm.observe("edge-a", "edge-b", sample_ms, now_s)
+        return ema_of(nlm, "edge-a", "edge-b")
+
     def test_initialization(self):
-        state = ema_update(EmaState(), 10.0, 5.0)
+        state = self._observed((10.0, 5.0))
         assert state.initialized
         assert state.ema_1m == state.ema_5m == state.ema_15m == 10.0
         assert state.last_update == 5.0
 
     def test_fixed_point(self):
-        state = ema_update(EmaState(), 10.0, 0.0)
-        state = ema_update(state, 10.0, 123.0)
+        state = self._observed((10.0, 0.0), (10.0, 123.0))
         assert state.ema_1m == pytest.approx(10.0, abs=1e-12)
 
     def test_decay_hand_value(self):
         # one horizon worth of elapsed time decays the gap by e^-1
-        state = ema_update(EmaState(), 10.0, 0.0)
-        state = ema_update(state, 20.0, 60.0)
+        state = self._observed((10.0, 0.0), (20.0, 60.0))
         assert state.ema_1m == pytest.approx(20.0 - 10.0 * math.exp(-1.0), abs=1e-12)
         assert state.ema_1m == pytest.approx(16.321, abs=1e-3)
         assert state.ema_5m == pytest.approx(20.0 - 10.0 * math.exp(-60.0 / 300.0), abs=1e-12)
         assert state.ema_15m == pytest.approx(20.0 - 10.0 * math.exp(-60.0 / 900.0), abs=1e-12)
 
     def test_time_regression_rejected(self):
-        state = ema_update(EmaState(), 10.0, 5.0)
+        nlm = one_link()
+        nlm.observe("edge-a", "edge-b", 10.0, 5.0)
         with pytest.raises(TimeRegressionError):
-            ema_update(state, 11.0, 4.0)
+            nlm.observe("edge-a", "edge-b", 11.0, 4.0)
 
     @given(
         ema0=st.floats(0.0, 1e4),
@@ -164,26 +187,35 @@ class TestEmaUpdate:
     @settings(max_examples=200)
     def test_tick_granularity_independence(self, ema0, sample, dt):
         # one step of dt equals two chained steps of dt/2 with equal samples
-        base = ema_update(EmaState(), ema0, 0.0)
-        one = ema_update(base, sample, dt)
-        half = ema_update(ema_update(base, sample, dt / 2.0), sample, dt)
+        one = self._observed((ema0, 0.0), (sample, dt))
+        half = self._observed((ema0, 0.0), (sample, dt / 2.0), (sample, dt))
         assert one.ema_1m == pytest.approx(half.ema_1m, abs=1e-9)
         assert one.ema_5m == pytest.approx(half.ema_5m, abs=1e-9)
         assert one.ema_15m == pytest.approx(half.ema_15m, abs=1e-9)
 
 
 class TestCompositeScore:
+    """``Nlm.score`` weighs the link's EMA columns."""
+
+    @staticmethod
+    def _score(emas, weights=None):
+        nlm = one_link(weights)
+        nlm.observe("edge-a", "edge-b", 0.0, 0.0)
+        for column, value in zip(nlm._emas, emas):
+            column[0] = value
+        return nlm.score("edge-a", "edge-b")
+
     def test_constant_vector(self):
-        state = EmaState(12.0, 12.0, 12.0, 0.0, True)
-        assert composite_score(state, EmaWeights()) == pytest.approx(12.0)
+        assert self._score((12.0, 12.0, 12.0)) == pytest.approx(12.0)
 
     def test_direct_arithmetic(self):
-        state = EmaState(10.0, 20.0, 30.0, 0.0, True)
-        assert composite_score(state, EmaWeights(0.2, 0.3, 0.5)) == pytest.approx(23.0)
+        assert self._score((10.0, 20.0, 30.0), EmaWeights(0.2, 0.3, 0.5)) == pytest.approx(23.0)
 
     def test_not_ready(self):
-        with pytest.raises(NotReadyError):
-            composite_score(EmaState(), EmaWeights())
+        # before any sample a link has no score: it ranks last, reports none
+        nlm = one_link()
+        assert nlm.score("edge-a", "edge-b") == math.inf
+        assert row(nlm, "edge-a", "edge-b")["score_ms"] is None
 
     @given(
         a=st.tuples(st.floats(0, 1e4), st.floats(0, 1e4), st.floats(0, 1e4)),
@@ -191,10 +223,8 @@ class TestCompositeScore:
     )
     @settings(max_examples=200)
     def test_componentwise_dominance(self, a, delta):
-        weights = EmaWeights()
-        lo = EmaState(a[0], a[1], a[2], 0.0, True)
-        hi = EmaState(a[0] + delta[0], a[1] + delta[1], a[2] + delta[2], 0.0, True)
-        assert composite_score(lo, weights) <= composite_score(hi, weights) + 1e-9
+        hi = tuple(x + d for x, d in zip(a, delta))
+        assert self._score(a) <= self._score(hi) + 1e-9
 
 
 class TestEmaWeights:
@@ -211,14 +241,13 @@ class TestEmaWeights:
 
 
 class TestClassifyLink:
-    """A link's status is its score classified against the link's budget."""
+    """A link's status is its score classified against the matrix's budget."""
 
     @staticmethod
     def _status_at(score_ms, budget_ms):
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), budget_ms=budget_ms)
+        nlm = one_link(budget_ms=budget_ms)
         nlm.observe("edge-a", "edge-b", score_ms, 0.0)
-        return nlm.status("edge-a", "edge-b")
+        return row(nlm, "edge-a", "edge-b")["status"]
 
     def test_boundaries_are_warning(self):
         assert self._status_at(75.0, 100.0) == WARNING
@@ -239,23 +268,23 @@ class TestNlm:
         nlm = self._nlm()
         assert nlm.has_link("edge-a", "edge-b")
         assert nlm.has_link("edge-b", "edge-a")
-        assert nlm.link("edge-a", "edge-b") is nlm.link("edge-b", "edge-a")
+        assert nlm._index("edge-a", "edge-b") == nlm._index("edge-b", "edge-a")
 
     def test_observe_updates_both_directions(self):
         nlm = self._nlm()
         nlm.observe("edge-a", "edge-b", 15.0, 1.0)
         assert nlm.score("edge-b", "edge-a") == pytest.approx(15.0)
-        assert nlm.latest_ms("edge-a", "edge-b") == 15.0
+        assert row(nlm, "edge-b", "edge-a")["latest_ms"] == 15.0
 
     def test_status_consistent_with_classifier(self):
         nlm = self._nlm()
         nlm.observe("edge-a", "edge-b", 10.0, 0.0)
-        assert nlm.status("edge-a", "edge-b") == classify(nlm.score("edge-a", "edge-b"), 50.0)
+        assert row(nlm, "edge-a", "edge-b")["status"] == classify(nlm.score("edge-a", "edge-b"), 50.0)
         # a persistent shift (many horizons elapsed) converges all EMAs
         nlm.observe("edge-a", "edge-b", 500.0, 100_000.0)
         assert nlm.score("edge-a", "edge-b") == pytest.approx(500.0)
-        assert nlm.status("edge-a", "edge-b") == CRITICAL
-        assert nlm.status("edge-a", "edge-b") == classify(nlm.score("edge-a", "edge-b"), 50.0)
+        assert row(nlm, "edge-a", "edge-b")["status"] == CRITICAL
+        assert row(nlm, "edge-a", "edge-b")["status"] == classify(nlm.score("edge-a", "edge-b"), 50.0)
 
     def test_uninitialized_score_is_inf(self):
         nlm = self._nlm()
@@ -263,7 +292,6 @@ class TestNlm:
 
     def test_never_observed_link_is_pass(self):
         nlm = self._nlm()
-        assert nlm.status("edge-a", "edge-b") == PASS
         assert nlm.snapshot()["edge-a|edge-b"] == {
             "score_ms": None,
             "latest_ms": None,
@@ -272,12 +300,10 @@ class TestNlm:
         }
 
     def test_snapshot_status_classifies_the_score_against_the_budget(self):
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), budget_ms=20.0)
+        nlm = one_link(budget_ms=20.0)
         nlm.observe("edge-a", "edge-b", 16.0, 0.0)  # 80% of the budget
         entry = nlm.snapshot()["edge-a|edge-b"]
-        assert (entry["score_ms"], entry["status"]) == (16.0, "warning")
-        assert nlm.status("edge-b", "edge-a") == "warning"
+        assert (entry["score_ms"], entry["status"], entry["budget_ms"]) == (16.0, "warning", 20.0)
 
     def test_link_score_ranks_missing_and_unsampled_links_last(self):
         nlm = self._nlm()
@@ -311,12 +337,10 @@ def _bits(*values):
 
 @st.composite
 def probe_scripts(draw):
-    """Links mixing the CMS branches and floors, then a run of epoch probes
-    and scalar legs at non-decreasing times."""
-    links = [
-        (draw(st.sampled_from(sorted(CMS_BRANCHES))), draw(st.sampled_from([NO_FLOOR, 0.1, 2.0])))
-        for _ in range(draw(st.integers(1, 50)))
-    ]
+    """A matrix floor and links mixing the CMS branches, then a run of
+    epoch probes and scalar legs at non-decreasing times."""
+    floor_ms = draw(st.sampled_from([NO_FLOOR, 0.1, 2.0]))
+    links = [draw(st.sampled_from(sorted(CMS_BRANCHES))) for _ in range(draw(st.integers(1, 50)))]
     steps = []
     t = 0.0
     for _ in range(draw(st.integers(1, 12))):
@@ -326,13 +350,13 @@ def probe_scripts(draw):
         else:
             # a leg on one link, in either orientation
             steps.append(("leg", t, (draw(st.integers(0, len(links) - 1)), draw(st.booleans()))))
-    return links, steps
+    return floor_ms, links, steps
 
 
 class TestProbeAll:
     """``Nlm.probe_all`` against each link run alone through ``sample_stable``
-    and ``ema_update`` on its own generator: the values must be the same to
-    the bit."""
+    and the reference ``ema_update`` on its own generator: the values must
+    be the same to the bit."""
 
     @given(
         script=probe_scripts(),
@@ -341,12 +365,12 @@ class TestProbeAll:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_link_reference(self, script, cap, chunk):
-        links, steps = script
+        floor_ms, links, steps = script
         reference = []
 
         def ref_step(i, now_s):
-            (branch, floor_ms), (gen, ema, _) = links[i], reference[i]
-            sample = sample_stable(CMS_BRANCHES[branch], gen, floor_ms=floor_ms)
+            gen, ema, _ = reference[i]
+            sample = sample_stable(CMS_BRANCHES[links[i]], gen, floor_ms=floor_ms)
             reference[i][1:] = [ema_update(ema, sample, now_s), sample]
             return sample
 
@@ -354,10 +378,9 @@ class TestProbeAll:
             net_model, "_REFILL_CHUNK", chunk
         ):
             # the row width is read when the table is built
-            nlm = Nlm()
-            for i, (branch, floor_ms) in enumerate(links):
-                params = CMS_BRANCHES[branch]
-                nlm.add_link(f"edge-{i}", f"cam-{i}", params, floor_ms=floor_ms, rng=np.random.default_rng(i))
+            nlm = Nlm(floor_ms=floor_ms)
+            for i, branch in enumerate(links):
+                nlm.add_link(f"edge-{i}", f"cam-{i}", CMS_BRANCHES[branch], rng=np.random.default_rng(i))
                 reference.append([np.random.default_rng(i), EmaState(), None])
             for kind, now_s, leg in steps:
                 if kind == "probe":
@@ -369,10 +392,12 @@ class TestProbeAll:
                     a, b = (f"cam-{i}", f"edge-{i}") if reverse else (f"edge-{i}", f"cam-{i}")
                     assert _bits(nlm.sample_and_observe(a, b, now_s)) == _bits(ref_step(i, now_s))
 
+        snapshot = nlm.snapshot()
         for i, (_, ema, latest) in enumerate(reference):
-            got = nlm.ema(f"edge-{i}", f"cam-{i}")
+            got = ema_of(nlm, f"edge-{i}", f"cam-{i}")
             assert _bits(*astuple(got)) == _bits(*astuple(ema))
-            assert _bits(nlm.latest_ms(f"cam-{i}", f"edge-{i}")) == _bits(latest)
+            assert _bits(snapshot[f"cam-{i}|edge-{i}"]["latest_ms"]) == _bits(latest)
+            assert _bits(nlm.score(f"cam-{i}", f"edge-{i}")) == _bits(composite_score(ema, nlm.weights))
 
     def test_time_regression_raises_and_changes_nothing(self):
         params = CMS_BRANCHES["symmetric"]
@@ -380,13 +405,13 @@ class TestProbeAll:
         nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(1))
         nlm.add_link("edge-a", "cam-2", params, rng=np.random.default_rng(2))
         nlm.sample_and_observe("edge-a", "cam-2", 5.0)
-        before = (nlm.ema("edge-a", "cam-1"), nlm.ema("edge-a", "cam-2"))
+        before = (ema_of(nlm, "edge-a", "cam-1"), ema_of(nlm, "edge-a", "cam-2"))
         with pytest.raises(TimeRegressionError):
             nlm.probe_all(4.0)
-        assert (nlm.ema("edge-a", "cam-1"), nlm.ema("edge-a", "cam-2")) == before
+        assert (ema_of(nlm, "edge-a", "cam-1"), ema_of(nlm, "edge-a", "cam-2")) == before
         # no draw was consumed either: the next probe takes each link's next value
         nlm.probe_all(6.0)
-        assert nlm.latest_ms("edge-a", "cam-1") == sample_stable(params, np.random.default_rng(1))
+        assert row(nlm, "edge-a", "cam-1")["latest_ms"] == sample_stable(params, np.random.default_rng(1))
 
     def test_link_without_generator_cannot_be_probed(self):
         nlm = Nlm()
@@ -408,7 +433,7 @@ class TestProbeAll:
         assert failed.traceback
         # edge-a<->edge-b drew nothing in the failed probe
         nlm.probe_all(1.0)
-        assert nlm.latest_ms("edge-a", "edge-b") == sample_stable(params, np.random.default_rng(0))
+        assert row(nlm, "edge-a", "edge-b")["latest_ms"] == sample_stable(params, np.random.default_rng(0))
 
     def test_empty_matrix_probe_is_a_no_op(self):
         Nlm().probe_all(1.0)
@@ -418,8 +443,8 @@ class TestProbeAll:
         nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), rng=np.random.default_rng(0))
         nlm.probe_all(3.0)
         nlm.add_link("edge-b", "edge-a", StableParams(alpha=2.0), rng=np.random.default_rng(0))
-        assert nlm.ema("edge-a", "edge-b") == EmaState()
-        assert nlm.latest_ms("edge-a", "edge-b") is None
+        assert ema_of(nlm, "edge-a", "edge-b") == EmaState()
+        assert row(nlm, "edge-a", "edge-b")["latest_ms"] is None
         assert nlm.pairs() == [("edge-a", "edge-b")]
 
 
@@ -440,11 +465,11 @@ class TestAddLinks:
     def _entries(self):
         return [
             # a probed link registered again: replaced, its row cleared
-            ("edge-b", "edge-a", LinkState(self.OTHER, 0.5, 30.0, np.random.default_rng(5))),
-            ("edge-a", "cam-1", LinkState(self.PARAMS, rng=np.random.default_rng(6))),
-            ("edge-c", "cam-2", LinkState(self.PARAMS, rng=np.random.default_rng(7))),
+            ("edge-b", "edge-a", self.OTHER, np.random.default_rng(5)),
+            ("edge-a", "cam-1", self.PARAMS, np.random.default_rng(6)),
+            ("edge-c", "cam-2", self.PARAMS, np.random.default_rng(7)),
             # a pair of this batch again, in the other order
-            ("cam-1", "edge-a", LinkState(self.OTHER, budget_ms=20.0, rng=np.random.default_rng(8))),
+            ("cam-1", "edge-a", self.OTHER, np.random.default_rng(8)),
         ]
 
     @staticmethod
@@ -455,16 +480,16 @@ class TestAddLinks:
             nlm._draws.tobytes(),
             nlm._cursor.tobytes(),
             list(nlm.pairs()),
-            [(s.params, s.floor_ms, s.budget_ms, s.rng.bit_generator.state) for s in nlm._links],
+            [(params, rng.bit_generator.state) for params, rng in nlm._links],
         )
 
     def test_batch_equals_one_link_at_a_time(self):
         one_by_one, batch = self._probed(), self._probed()
-        for a, b, state in self._entries():
-            one_by_one.add_link(a, b, state.params, state.floor_ms, state.budget_ms, state.rng)
+        for a, b, params, rng in self._entries():
+            one_by_one.add_link(a, b, params, rng)
         batch.add_links(self._entries())
         assert batch._number[("edge-a", "cam-1")] == 2
-        assert batch.ema("edge-a", "edge-b") == EmaState()
+        assert ema_of(batch, "edge-a", "edge-b") == EmaState()
         assert self._table(batch) == self._table(one_by_one)
         one_by_one.probe_all(2.0)
         batch.probe_all(2.0)
@@ -473,8 +498,8 @@ class TestAddLinks:
     @pytest.mark.parametrize(
         "bad, match",
         [
-            (("edge-d", "edge-d", LinkState(PARAMS)), "differ"),
-            (("edge-d", "cam-3", LinkState(StableParams(alpha=2.5))), "alpha"),
+            (("edge-d", "edge-d", PARAMS, None), "differ"),
+            (("edge-d", "cam-3", StableParams(alpha=2.5), None), "alpha"),
         ],
     )
     def test_bad_entry_changes_nothing(self, bad, match):

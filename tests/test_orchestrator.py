@@ -297,12 +297,10 @@ class TestMigrationCost:
         assert cost == pytest.approx(63.0, abs=1e-6)
 
     def test_degenerate_costs_vanish(self):
-        nlm = Nlm()
+        nlm = Nlm(floor_ms=0.0)
         nlm.add_link(
             "edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=0.0), rng=np.random.default_rng(0)
         )
-        link = nlm.link("edge-a", "edge-b")
-        link.floor_ms = 0.0
         cost = migration_cost_ms(nlm, "edge-a", "edge-b", 0.0)
         assert cost == pytest.approx(0.0, abs=1e-9)
 

@@ -432,7 +432,14 @@ class TestRunCommand:
         assert "rpi-1" in err
 
     @pytest.mark.parametrize(
-        "flags", [("--seed", "-1"), ("--seed", str(2**64)), ("--sweep", f"seeds={2**64}..{2**64}")]
+        "flags",
+        [
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
+            ("--sweep", f"seeds={2**64}..{2**64}"),
+            # the first seed is valid: the sweep must fail before running it
+            ("--sweep", f"seeds={2**64 - 1}..{2**64}"),
+        ],
     )
     def test_out_of_range_seed_exits_one(self, tmp_path, capsys, flags):
         out = tmp_path / "out"

@@ -22,6 +22,7 @@ from edgesim.cli import write_outputs
 from edgesim.device_model import DeviceProfile, admit_task
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import StableParams
+from edgesim.profiler_health import classify
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import (
     _TIME_EPS,
@@ -32,7 +33,6 @@ from edgesim.sim_engine import (
     _Frame,
     _seed_states,
     run,
-    substream,
     substreams,
 )
 
@@ -84,9 +84,9 @@ class TestDeterminism:
         assert to_json(a) == to_json(b)
 
     def test_substream_is_stable(self):
-        a = substream(42, "link:a:b").random(8)
-        b = substream(42, "link:a:b").random(8)
-        c = substream(42, "link:a:c").random(8)
+        a = substreams(42, ["link:a:b"])[0].random(8)
+        b = substreams(42, ["link:a:b"])[0].random(8)
+        c = substreams(42, ["link:a:c"])[0].random(8)
         assert list(a) == list(b)
         assert list(a) != list(c)
 
@@ -175,20 +175,21 @@ class TestSeeding:
             assert state.tolist() == expected.tolist()
 
     def test_substream_equals_its_entry_in_a_batch(self):
-        one = substream(2**40 + 3, "link:a:b")
+        one = substreams(2**40 + 3, ["link:a:b"])[0]
         batch = substreams(2**40 + 3, ["link:a:c", "link:a:b"])[1]
         assert one.bit_generator.state == batch.bit_generator.state
 
     def test_invalid_seeds_raise_like_seed_sequence(self):
         # in a child process, so a word splitter that loops forever on a
         # negative seed fails on the timeout instead of hanging the suite;
-        # each seed prints substream's, substreams' and SeedSequence's error
+        # each seed prints substreams' error for one label and for none,
+        # then SeedSequence's
         child = (
             "import sys; sys.path[:0] = sys.argv[1:]\n"
             "import numpy as np\n"
-            "from edgesim.sim_engine import substream, substreams\n"
+            "from edgesim.sim_engine import substreams\n"
             "for seed in (-1, -(2**64), np.int64(-3), 1.5, np.float64(2.0)):\n"
-            "    calls = (lambda: substream(seed, 'x'), lambda: substreams(seed, []),\n"
+            "    calls = (lambda: substreams(seed, ['x']), lambda: substreams(seed, []),\n"
             "             lambda: np.random.SeedSequence([seed, 5]))\n"
             "    for call in calls:\n"
             "        try:\n"
@@ -220,7 +221,8 @@ class TestSeeding:
             expected = scalar_substream(seed, f"link:{a}:{b}")
             # setup primed every link, which filled its row of draws
             expected.random((net_model._BLOCK_CAP, 2))
-            assert sim.nlm.link(a, b).rng.bit_generator.state == expected.bit_generator.state
+            _, rng = sim.nlm._links[sim.nlm._index(a, b)]
+            assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def weighted_fault_scenario():
@@ -260,6 +262,24 @@ class TestBlockBuffering:
         monkeypatch.setattr(net_model, "_BLOCK_CAP", 1)
         # digests, not the reports, so a failure does not diff megabytes
         assert report_sha256() == buffered
+
+
+class TestNetworkWiring:
+    def test_matrix_takes_the_scenario_floor_and_budget(self):
+        scenario = presets.default_scenario()
+        scenario.sim.duration_s = 10.0
+        scenario.network.link_budget_ms = 20.0
+        # far above both laws' location, so every draw is clamped to it
+        scenario.network.floor_ms = 100.0
+        assert scenario.network.edge_edge.location < 20.0 and scenario.network.edge_device.location < 20.0
+        doc = run(scenario, seed=1).to_dict()
+        assert len(doc["nlm"]) == 3 + 3 * 3
+        for link in doc["nlm"].values():
+            assert link["budget_ms"] == 20.0
+            assert link["status"] == classify(link["score_ms"], 20.0)
+        assert doc["frames"]
+        for frame in doc["frames"]:
+            assert frame["net_out_ms"] == frame["net_back_ms"] == 100.0
 
 
 def late_streams_during_fault():
