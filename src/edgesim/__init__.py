@@ -8,7 +8,7 @@ offloading, all driven by a reproducible discrete-event loop.
 
 from .device_model import DeviceProfile, InferenceTask, NodeRuntime, predict_components
 from .net_model import EmaWeights, Nlm, StableParams, sample_stable
-from .orchestrator import AllocationWeights, MigrationRecord, NodeWeight
+from .orchestrator import AllocationWeights, MigrationRecord
 from .profiler_health import HealthState, ProfilerState, classify, evaluate_health
 from .scenario import EndDevice, Scenario, load_scenario, save_scenario, validate
 from .sim_engine import MetricsReport, Simulation, run
@@ -26,7 +26,6 @@ __all__ = [
     "MigrationRecord",
     "Nlm",
     "NodeRuntime",
-    "NodeWeight",
     "ProfilerState",
     "Scenario",
     "Simulation",

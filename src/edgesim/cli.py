@@ -283,15 +283,11 @@ def _parse_sweep(spec: str) -> list[int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.scenario)
-        if args.policy:
-            scenario.orchestrator.policy = args.policy
-        errors = validate(scenario)
-        seeds = _parse_sweep(args.sweep) if args.sweep else None
-    except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = _load(args.scenario)
+    if args.policy:
+        scenario.orchestrator.policy = args.policy
+    errors = validate(scenario)
+    seeds = _parse_sweep(args.sweep) if args.sweep else None
     if errors:
         for err in errors:
             print(f"invalid scenario: {err}", file=sys.stderr)

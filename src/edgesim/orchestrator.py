@@ -48,17 +48,6 @@ class AllocationWeights:
             raise ConfigurationError(f"allocation weights must sum to 1, got {sum(ws)}")
 
 
-@dataclass(frozen=True)
-class NodeWeight:
-    """Normalized fitness of one candidate node for a pending request."""
-
-    node_id: str
-    w_cpu: float
-    w_ai: float
-    w_nl: float
-    w_combined: float
-
-
 @dataclass
 class MigrationRecord:
     """One instance move between nodes, including its transfer cost."""
@@ -154,8 +143,8 @@ def node_weights(
     end_device_id: str,
     nlm: Nlm,
     coeffs: AllocationWeights,
-) -> dict[str, NodeWeight]:
-    """Normalized fitness of each candidate for one pending request.
+) -> dict[str, float]:
+    """Combined normalized fitness of each candidate for one pending request.
 
     Raw factors are inverse predicted CPU and accelerator latency at the
     post-admission instance count, and the inverse link score to the
@@ -172,13 +161,12 @@ def node_weights(
         score = max(link_score(nlm, node_id, end_device_id), 1e-9)
         raw[node_id] = (1.0 / cpu_ms, 1.0 / accel_ms, 0.0 if math.isinf(score) else 1.0 / score)
     maxima = [max(r[i] for r in raw.values()) for i in range(3)]
-    out: dict[str, NodeWeight] = {}
+    out: dict[str, float] = {}
     for node_id in candidates:
         normed = [
             (raw[node_id][i] / maxima[i]) if maxima[i] > 0 else 1.0 for i in range(3)
         ]
-        combined = coeffs.alpha * normed[0] + coeffs.beta * normed[1] + coeffs.gamma * normed[2]
-        out[node_id] = NodeWeight(node_id, normed[0], normed[1], normed[2], combined)
+        out[node_id] = coeffs.alpha * normed[0] + coeffs.beta * normed[1] + coeffs.gamma * normed[2]
     return out
 
 
@@ -198,7 +186,7 @@ def assign_weighted(
             f"no healthy reachable node available for device {end_device_id!r}"
         )
     weights = node_weights(nodes, candidates, frame_size, end_device_id, nlm, coeffs)
-    return _lowest(candidates, lambda n: -weights[n].w_combined)
+    return _lowest(candidates, lambda n: -weights[n])
 
 
 def migration_cost_ms(

@@ -339,6 +339,8 @@ def _encode(value):
     """Inverse of ``_decode``: dataclasses become objects in field order."""
     if isinstance(value, (str, int, float)):
         return value
+    if isinstance(value, np.integer):  # a seed, which is_seed accepts as one
+        return int(value)
     if isinstance(value, list):
         return [_encode(item) for item in value]
     if isinstance(value, dict):  # the only dict field is DeviceProfile.calibration

@@ -206,10 +206,7 @@ def _frame_count(start_s: float, fps: float, duration_s: float) -> int:
 @dataclass
 class _Frame:
     frame_id: int
-    task_id: str
-    end_device_id: str
-    frame_size_px: int
-    qos_ms: float
+    ts: _TaskState
     emitted_at: float
     dispatched_at: float | None = None
     dispatched_to: str | None = None
@@ -218,7 +215,6 @@ class _Frame:
     engine_wait_ms: float = 0.0
     queue_node_ms: float = 0.0
     net_out_ms: float = 0.0
-    net_back_ms: float = 0.0
     outcome: tuple[int, float, float, float, float] | None = None
 
 
@@ -564,14 +560,7 @@ class Simulation:
         """Emit the stream's k-th frame, at start + k / fps, and schedule
         the next one if it falls inside the run."""
         device = ts.device
-        frame = _Frame(
-            frame_id=next(self._frame_ids),
-            task_id=ts.task.task_id,
-            end_device_id=device.id,
-            frame_size_px=ts.task.frame_size_px,
-            qos_ms=ts.task.qos_ms,
-            emitted_at=device.start_s + k / device.fps,
-        )
+        frame = _Frame(next(self._frame_ids), ts, device.start_s + k / device.fps)
         if _emits(device.start_s, device.fps, k + 1, self.scenario.sim.duration_s):
             self._schedule(device.start_s + (k + 1) / device.fps, ts.emit_rank, self._on_emit, ts, k + 1)
         if ts.task.host_node is None and ts.migration is None:
@@ -600,34 +589,32 @@ class Simulation:
         return chosen
 
     def _dispatch_or_defer(self, frame: _Frame) -> None:
-        ts = self.tasks[frame.task_id]
+        ts = frame.ts
         host = ts.task.host_node
         if ts.migration is None and host is not None and self._dispatchable(host):
             self._dispatch(frame)
             return
         self.counters["deferred_frames"] += 1
-        superseded = self.pending.get(frame.task_id)
+        superseded = self.pending.get(ts.task.task_id)
         if superseded is not None:
             self._fail_frame(superseded, "superseded-by-newer-frame")
-        self.pending[frame.task_id] = frame
+        self.pending[ts.task.task_id] = frame
 
     def _dispatch(self, frame: _Frame) -> None:
-        ts = self.tasks[frame.task_id]
-        host = ts.task.host_node
+        host = frame.ts.task.host_node
         if not self._dispatchable(host):
             # engine invariant: never dispatch to an unavailable node
             raise AssertionError(f"dispatch of frame {frame.frame_id} to unavailable node {host!r}")
         frame.dispatched_at = self.now
         frame.dispatched_to = host
         frame.engine_wait_ms = (self.now - frame.emitted_at) * 1000.0
-        frame.net_out_ms = self.nlm.sample_and_observe(host, frame.end_device_id, self.now)
+        frame.net_out_ms = self.nlm.sample_and_observe(host, frame.ts.device.id, self.now)
         self._schedule(self.now + frame.net_out_ms / 1000.0, next(self._ranks), self._on_at_node, frame)
 
     def _on_at_node(self, frame: _Frame) -> None:
-        ts = self.tasks[frame.task_id]
         frame.arrived_at = self.now
-        ts.queue.append(frame)
-        self._try_start(ts)
+        frame.ts.queue.append(frame)
+        self._try_start(frame.ts)
 
     def _try_start(self, ts: _TaskState) -> None:
         if (
@@ -649,27 +636,28 @@ class Simulation:
         self._schedule(done_at, next(self._ranks), self._on_processing_complete, frame)
 
     def _on_processing_complete(self, frame: _Frame) -> None:
-        ts = self.tasks[frame.task_id]
+        ts = frame.ts
+        task = ts.task
         # a stray completion from before a migration leaves the instance
         # serving at its new host
         if ts.busy_frame is frame:
             ts.busy_frame = None
         n_instances, cpu_ms, accel_ms, model_load_ms, processing_ms = frame.outcome
-        frame.net_back_ms = self.nlm.sample_and_observe(frame.node, frame.end_device_id, self.now)
+        net_back_ms = self.nlm.sample_and_observe(frame.node, ts.device.id, self.now)
         queueing = frame.engine_wait_ms + frame.queue_node_ms
-        e2e = frame.net_out_ms + queueing + processing_ms + frame.net_back_ms
-        state = classify(e2e, frame.qos_ms, self.warn_fraction, self.critical_fraction)
-        completed_at = self.now + frame.net_back_ms / 1000.0
+        e2e = frame.net_out_ms + queueing + processing_ms + net_back_ms
+        state = classify(e2e, task.qos_ms, self.warn_fraction, self.critical_fraction)
+        completed_at = self.now + net_back_ms / 1000.0
         # one value per FrameRecord field, in field order
         self.records.append(
             frame.frame_id,
-            frame.task_id,
-            frame.end_device_id,
+            task.task_id,
+            ts.device.id,
             frame.node,
             frame.dispatched_to,
-            frame.frame_size_px,
+            task.frame_size_px,
             n_instances,
-            frame.qos_ms,
+            task.qos_ms,
             frame.emitted_at,
             frame.dispatched_at,
             completed_at,
@@ -679,12 +667,12 @@ class Simulation:
             accel_ms,
             model_load_ms,
             processing_ms,
-            frame.net_back_ms,
+            net_back_ms,
             e2e,
             state,
         )
         self.counters["frames_completed"] += 1
-        if e2e > frame.qos_ms:
+        if e2e > task.qos_ms:
             self.counters["qos_violations"] += 1
         # The profiler's latency signal covers everything the node and the
         # network did to this frame: transfer legs, waiting at the node,
@@ -692,9 +680,9 @@ class Simulation:
         # user-perceived e2e (and the violation counter) but not in the
         # health signal: it measures the outage the orchestrator is
         # already reacting to, not the node receiving the retried frame.
-        if frame.task_id in self.nodes[frame.node].active_tasks:
+        if task.task_id in self.nodes[frame.node].active_tasks:
             service_latency = e2e - frame.engine_wait_ms
-            self.profilers[frame.node].record_inference(frame.task_id, service_latency, self.now)
+            self.profilers[frame.node].record_inference(task.task_id, service_latency, self.now)
         self._try_start(ts)
 
     # -- health epochs and the offload loop -----------------------------
@@ -764,13 +752,10 @@ class Simulation:
             if node.faulted and node.active_tasks:
                 # a dead node loses all its instances at once
                 for tid in sorted(node.active_tasks):
-                    ts = self.tasks[tid]
-                    if ts.migration is not None:
-                        continue
-                    self._migrate_or_count(ts, name, TRIGGER_SYSTEM)
+                    self._migrate_or_count(self.tasks[tid], name, TRIGGER_SYSTEM)
             elif self.health[name].system_state == CRITICAL and not node.faulted:
                 victim = pick_victim(self.profilers[name])
-                if victim is not None and self.tasks[victim].migration is None:
+                if victim is not None:
                     self._migrate_or_count(self.tasks[victim], name, TRIGGER_SYSTEM)
         for name in sorted(self.nodes):
             node, health = self.nodes[name], self.health[name]
@@ -778,9 +763,7 @@ class Simulation:
                 continue
             # one app-critical instance per node and epoch; the rest wait
             critical = [
-                tid
-                for tid, state in health.app_states.items()
-                if state == CRITICAL and tid in node.active_tasks and self.tasks[tid].migration is None
+                tid for tid, state in health.app_states.items() if state == CRITICAL and tid in node.active_tasks
             ]
             victim = pick_victim(self.profilers[name], critical)
             if victim is not None:
@@ -963,7 +946,7 @@ class Simulation:
             "assign-failed",
             f"frame-{frame.frame_id}",
             reason,
-            {"frame": frame.frame_id, "task": frame.task_id},
+            {"frame": frame.frame_id, "task": frame.ts.task.task_id},
         )
 
     # -- bookkeeping -----------------------------------------------------

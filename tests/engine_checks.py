@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from edgesim.sim_engine import FrameTable, MetricsReport
+from edgesim.sim_engine import FrameTable, MetricsReport, Simulation
 
 _EPS = 1e-9
 
@@ -126,6 +126,32 @@ def check_one_victim_per_critical_node_per_epoch(report: MetricsReport) -> None:
         )
         if not faulted:
             assert count <= 1, (t, node, count)
+
+
+def check_task_placement(sim: Simulation) -> None:
+    """A task hosted on a node is in its ``active_tasks`` and its profiler,
+    and has no migration in flight; a task with one in flight has no host."""
+    for name, node in sim.nodes.items():
+        assert set(node.active_tasks) == set(sim.profilers[name].task_ids()), name
+        for tid in node.active_tasks:
+            ts = sim.tasks[tid]
+            assert ts.task.host_node == name, (tid, name, ts.task.host_node)
+            assert ts.migration is None, (tid, ts.migration)
+    for tid, ts in sim.tasks.items():
+        if ts.migration is not None:
+            assert ts.task.host_node is None, (tid, ts.task.host_node)
+
+
+def check_placement_after_every_entry(monkeypatch) -> None:
+    """Make every ``Simulation`` run ``check_task_placement`` after each
+    entry it handles."""
+    handle = Simulation._handle
+
+    def checked(sim, time, handler, args):
+        handle(sim, time, handler, args)
+        check_task_placement(sim)
+
+    monkeypatch.setattr(Simulation, "_handle", checked)
 
 
 def check_report(report: MetricsReport) -> None:

@@ -14,7 +14,7 @@ from edgesim.profiler_health import CRITICAL
 from edgesim.scenario import EndDevice, FaultSpec, Scenario
 from edgesim.sim_engine import Simulation
 
-from engine_checks import check_report
+from engine_checks import check_placement_after_every_entry, check_report
 
 
 @st.composite
@@ -77,7 +77,9 @@ def test_engine_invariants_hold_on_random_scenarios(scenario):
             Simulation(scenario)
         return
     sim = Simulation(scenario)
-    report = sim.run()
+    with pytest.MonkeyPatch.context() as mp:
+        check_placement_after_every_entry(mp)
+        report = sim.run()
     check_report(report)
 
     # a health change is visible to discovery at once: a node advertises

@@ -280,6 +280,59 @@ def _values(tp):
     return st.builds(tp, **{f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)})
 
 
+# One mutation of the default preset's document per rule, and the one
+# error it must give: through from_dict for a codec rule, validate otherwise.
+RULE_MUTATIONS = [
+    (("end_devices", 0, "service"), "Obj_D",
+     "end_devices[0] (rpi-1): end-device 'rpi-1': service 'Obj_D' must be lowercase alphanumeric or hyphen"),
+    (("end_devices", 0, "start_s"), -0.5, "end_devices[0] (rpi-1): end-device 'rpi-1': start_s must be >= 0"),
+    (("network", "gossip", "interval_s"), 0.0, "network: gossip.interval_s must be > 0"),
+    (("network", "gossip", "message_bytes"), -1.0, "network: gossip.message_bytes must be >= 0"),
+    (("network", "link_budget_ms"), 0.0, "network: network.link_budget_ms must be > 0"),
+    (("network", "floor_ms"), -1.0, "network: network.floor_ms must be >= 0"),
+    (("network", "ema_weights"), {"w_1m": -0.1, "w_5m": 0.3, "w_15m": 0.8},
+     "network: EMA weights must be >= 0, got (-0.1, 0.3, 0.8)"),
+    (("orchestrator", "policy"), "fastest",
+     "orchestrator: orchestrator.policy must be one of ('min-latency', 'weighted'), got 'fastest'"),
+    (("orchestrator", "warn_fraction"), 0.9,
+     "orchestrator: thresholds must satisfy 0 < warn_fraction < critical_fraction <= 1"),
+    (("orchestrator", "cool_down_s"), -1.0, "orchestrator: orchestrator.cool_down_s must be >= 0"),
+    (("orchestrator", "handover_overhead_ms"), -1.0,
+     "orchestrator: orchestrator.handover_overhead_ms must be >= 0"),
+    (("faults",), [{"node_id": "coral", "at_s": -1.0, "duration_s": 1.0}],
+     "faults[0]: fault on 'coral': at_s must be >= 0"),
+    (("faults",), [{"node_id": "coral", "at_s": 1.0, "duration_s": -1.0}],
+     "faults[0]: fault on 'coral': duration_s must be >= 0"),
+    (("devices",), [], "devices: at least one edge node is required"),
+    (("end_devices",), [], "end_devices: at least one end-device is required"),
+    (("end_devices", 1, "id"), "rpi-1", "end_devices: ids must be unique"),
+    (("end_devices", 0, "id"), "coral", "end_devices: ids collide with node names: ['coral']"),
+    (("devices", 0, "model_load_ms"), -1.0, "devices[0]: device 'upsquared': model_load_ms must be >= 0"),
+    (("devices", 0, "calibration", 0, "accel_ms"), 0.0,
+     "devices[0]: device 'upsquared': non-positive latency at (600, 1)"),
+    # (1200, 1) below (600, 1), still below (1200, 2)
+    (("devices", 0, "calibration", 4, "cpu_ms"), 1.0,
+     "devices[0]: device 'upsquared': latencies must be non-decreasing in frame size at 1 instances"),
+    (("sim",), 1, "sim: expected an object, got int"),
+    (("devices", 0, "name"), 1, "devices[0].name: expected a string, got 1"),
+    (("sim", "preload_models"), "no", "sim.preload_models: expected true/false, got 'no'"),
+    (("faults",), {}, "faults: expected a list, got dict"),
+]
+
+
+@pytest.mark.parametrize(
+    "steps, value, message", RULE_MUTATIONS, ids=[f"{_path(s)}={v!r}" for s, v, _ in RULE_MUTATIONS]
+)
+def test_each_rule_gives_its_exact_message(steps, value, message):
+    doc = to_dict(presets.default_scenario())
+    _section(doc, steps[:-1])[steps[-1]] = value
+    try:
+        errors = validate(from_dict(doc))
+    except ConfigurationError as exc:
+        errors = [str(exc)]
+    assert errors == [message]
+
+
 class TestCodec:
     @settings(max_examples=150, deadline=None)
     @given(_values(Scenario))
@@ -321,6 +374,18 @@ class TestCodec:
         section[name] -= 0.5
         parsed = to_dict(from_dict(doc))
         assert type(_section(parsed, steps)[name]) is int
+
+    def test_numpy_seed_is_written_as_an_int(self, tmp_path):
+        # is_seed accepts numpy integers, so the codec must encode one
+        scenario = presets.default_scenario()
+        scenario.sim.seed = np.uint64(5)
+        assert validate(scenario) == []
+        save_scenario(scenario, tmp_path / "scenario.json")
+        assert '"seed": 5\n' in (tmp_path / "scenario.json").read_text()
+        cli.write_outputs(Simulation(scenario).run(), tmp_path / "numpy", "json")
+        scenario.sim.seed = 5
+        cli.write_outputs(Simulation(scenario).run(), tmp_path / "int", "json")
+        assert (tmp_path / "numpy" / "report.json").read_bytes() == (tmp_path / "int" / "report.json").read_bytes()
 
     @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
     def test_preset_documents_are_unchanged(self, name):
@@ -391,11 +456,12 @@ class TestRunCommand:
         for d in dirs:
             assert (out / d / "report.json").exists()
 
-    def test_bad_sweep_spec_is_validation_error(self, tmp_path):
+    def test_bad_sweep_spec_is_validation_error(self, tmp_path, capsys):
         assert (
             run_cli("run", "--scenario", "default", "--out", str(tmp_path), "--sweep", "oops")
             == 1
         )
+        assert capsys.readouterr().err.startswith("error: --sweep must look like seeds=a..b")
 
     def test_policy_flag_changes_decisions(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -419,8 +485,9 @@ class TestRunCommand:
         assert not (out / "report.json").exists()
         assert (out / "frames.csv").exists()
 
-    def test_missing_scenario_file_exits_one(self, tmp_path):
+    def test_missing_scenario_file_exits_one(self, tmp_path, capsys):
         assert run_cli("run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         doc = to_dict(presets.default_scenario())

@@ -36,7 +36,13 @@ from edgesim.sim_engine import (
     substreams,
 )
 
-from engine_checks import check_conservation, check_report, downtime_windows, table_of
+from engine_checks import (
+    check_conservation,
+    check_placement_after_every_entry,
+    check_report,
+    downtime_windows,
+    table_of,
+)
 
 
 def mini_profile(name, cpu=10.0, accel=20.0):
@@ -577,7 +583,8 @@ class TestMigrationMechanics:
         scenario.faults = [FaultSpec(node_id=target, at_s=1.02, duration_s=3.0)]
         return run(scenario, seed=3), target
 
-    def test_unavailable_target_triggers_one_retry(self):
+    def test_unavailable_target_triggers_one_retry(self, monkeypatch):
+        check_placement_after_every_entry(monkeypatch)
         report, failed_target = self.flood_with_target_outage(n_nodes=3)
         first = report.migrations[0]
         assert first.retried
@@ -586,7 +593,8 @@ class TestMigrationMechanics:
         retries = [e for e in report.decision_log if e["kind"] == "migration-retry"]
         assert len(retries) == 1
 
-    def test_retry_without_candidates_abandons(self):
+    def test_retry_without_candidates_abandons(self, monkeypatch):
+        check_placement_after_every_entry(monkeypatch)
         report, _ = self.flood_with_target_outage(n_nodes=2)
         first = report.migrations[0]
         assert first.retried and first.abandoned
@@ -846,7 +854,7 @@ class TestLazyEmissions:
         monkeypatch.setattr(Simulation, "_dispatch_or_defer", spy)
         report = run(tied_streams_scenario())
         assert [f.frame_id for f in frames] == list(range(27))
-        keys = [(f.emitted_at, f.end_device_id) for f in frames]
+        keys = [(f.emitted_at, f.ts.device.id) for f in frames]
         assert keys == sorted(set(keys))
         assert [t for t, d in keys if d == "dev-1"] == [0.5 + k / 4.0 for k in range(22)]
         assert [t for t, d in keys if d == "dev-0"] == [1.0, 2.0, 3.0, 4.0, 5.0]
