@@ -146,7 +146,7 @@ class InferenceTask:
 class NodeRuntime:
     """Per-node mutable state, owned by the event loop.
 
-    ``profile`` is fixed for the node's life: ``components`` memoizes the
+    ``profile`` is fixed for the node's life: ``served`` memoizes the
     latencies read from it.
     """
 
@@ -155,23 +155,20 @@ class NodeRuntime:
     active_tasks: dict[str, InferenceTask] = field(default_factory=dict)
     faulted: bool = False
     quarantined: bool = False
-    _components: dict[tuple[float, float], tuple[float, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    #: ``service_request``'s result per (frame size, instance count) once
-    #: the model is loaded
     _served: dict[tuple[int, int], tuple[int, float, float, float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def components(self, frame_size: float, n: float) -> tuple[float, float]:
-        """``predict_components(self.profile, frame_size, n)``, computed once
+    def served(self, frame_size: int, n: int) -> tuple[int, float, float, float, float]:
+        """``(n, cpu_ms, accel_ms, 0.0, cpu_ms + accel_ms)`` from
+        ``predict_components(self.profile, frame_size, n)``, computed once
         per (frame size, instance count): a run asks for few distinct keys.
         A call that raises stores nothing, so it raises again."""
         key = (frame_size, n)
-        value = self._components.get(key)
+        value = self._served.get(key)
         if value is None:
-            value = self._components[key] = predict_components(self.profile, frame_size, n)
+            cpu_ms, accel_ms = predict_components(self.profile, frame_size, n)
+            value = self._served[key] = (n, cpu_ms, accel_ms, 0.0, cpu_ms + accel_ms)
         return value
 
     @property
@@ -220,15 +217,11 @@ def service_request(node: NodeRuntime, task: InferenceTask) -> tuple[int, float,
         raise AssignmentError(
             f"task {task.task_id!r} is not admitted on node {node.name!r}"
         )
-    n = node.n_instances
-    key = (task.frame_size_px, n)
+    key = (task.frame_size_px, node.n_instances)
+    served = node._served.get(key) or node.served(*key)
     if task.service in node.loaded_models:
-        served = node._served.get(key)
-        if served is None:
-            cpu_ms, accel_ms = node.components(*key)
-            served = node._served[key] = (n, cpu_ms, accel_ms, 0.0, cpu_ms + accel_ms)
         return served
-    cpu_ms, accel_ms = node.components(*key)
+    n, cpu_ms, accel_ms, _, _ = served
     node.loaded_models.add(task.service)
     load_ms = node.profile.model_load_ms
     return n, cpu_ms, accel_ms, load_ms, load_ms + cpu_ms + accel_ms

@@ -157,7 +157,7 @@ def node_weights(
     raw: dict[str, tuple[float, float, float]] = {}
     for node_id in candidates:
         node = nodes[node_id]
-        cpu_ms, accel_ms = node.components(frame_size, node.n_instances + 1)
+        _, cpu_ms, accel_ms, _, _ = node.served(frame_size, node.n_instances + 1)
         score = max(link_score(nlm, node_id, end_device_id), 1e-9)
         raw[node_id] = (1.0 / cpu_ms, 1.0 / accel_ms, 0.0 if math.isinf(score) else 1.0 / score)
     maxima = [max(r[i] for r in raw.values()) for i in range(3)]

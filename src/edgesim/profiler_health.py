@@ -144,13 +144,9 @@ def evaluate_health(
     return HealthState(app_states=app_states, system_state=system_state)
 
 
-def merge_since(prev: HealthState | None, new: HealthState, now_s: float) -> HealthState:
+def merge_since(prev: HealthState, new: HealthState, now_s: float) -> HealthState:
     """Carry over transition timestamps: `since` changes only when the
     classification does."""
-    if prev is None:
-        new.system_since = now_s
-        new.app_since = {tid: now_s for tid in new.app_states}
-        return new
     new.system_since = prev.system_since if new.system_state == prev.system_state else now_s
     since: dict[str, float] = {}
     for tid, state in new.app_states.items():

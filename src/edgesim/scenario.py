@@ -168,13 +168,11 @@ class FaultSpec:
 
     def overlaps(self, other: FaultSpec) -> bool:
         """Whether both windows [at, at + duration) fault one node at some
-        instant. A node is faulted or not, so such windows may not both
-        hold; a zero-length window is empty and overlaps nothing."""
-        return (
-            self.node_id == other.node_id
-            and min(self.duration_s, other.duration_s) > 0
-            and self.at_s < other.at_s + other.duration_s
-            and other.at_s < self.at_s + self.duration_s
+        instant: the later start comes before the earlier end. A node is
+        faulted or not, so such windows may not both hold. A window whose
+        end is its start in floats is empty and overlaps nothing."""
+        return self.node_id == other.node_id and max(self.at_s, other.at_s) < min(
+            self.at_s + self.duration_s, other.at_s + other.duration_s
         )
 
 

@@ -55,7 +55,7 @@ from .profiler_health import (
     evaluate_health,
     merge_since,
 )
-from .scenario import EndDevice, FaultSpec, Scenario, is_seed, validate
+from .scenario import EndDevice, Scenario, is_seed, validate
 
 __all__ = [
     "EndDevice",
@@ -383,7 +383,6 @@ class Simulation:
         # already scheduled at its instant
         self._ranks = itertools.count()
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
-        self._faults: list[FaultSpec] = []  # the non-empty windows injected so far
 
         orch = scenario.orchestrator
         self.policy = orch.policy
@@ -459,9 +458,13 @@ class Simulation:
 
         # fault transitions first: at a shared instant the unavailability
         # window [at, at + duration) must already be in force for emissions
-        # and epochs
+        # and epochs. A window whose end rounds to its start holds no
+        # instant; its end would clear the fault of a window starting with it
         for fault in sorted(scenario.faults, key=lambda f: (f.at_s, f.node_id)):
-            self.inject_fault(fault.node_id, fault.at_s, fault.duration_s)
+            end = fault.at_s + fault.duration_s
+            if end > fault.at_s:
+                self._schedule(fault.at_s, next(self._ranks), self._on_fault, fault.node_id, "start")
+                self._schedule(end, next(self._ranks), self._on_fault, fault.node_id, "end")
 
         # One pending emission per stream and one pending epoch: each
         # schedules the next. All of a stream's emissions share one rank,
@@ -486,26 +489,6 @@ class Simulation:
         self._epoch_rank = next(self._ranks)
         self._schedule_epoch(1)
         self._schedule(duration, next(self._ranks), self._on_run_end)
-
-    def inject_fault(self, node_id: str, at_s: float, duration_s: float) -> None:
-        """Make a node unreachable during [at, at + duration)."""
-        if node_id not in self.nodes:
-            raise ConfigurationError(f"cannot fault unknown node {node_id!r}")
-        if duration_s <= 0:
-            return
-        window = FaultSpec(node_id, at_s, duration_s)
-        for other in self._faults:
-            if window.overlaps(other):
-                raise ConfigurationError(
-                    f"fault window [{at_s}, {at_s + duration_s}) on node {node_id!r} overlaps "
-                    f"[{other.at_s}, {other.at_s + other.duration_s})"
-                )
-        self._faults.append(window)
-        # a window whose end rounds to its start holds no instant; its end
-        # would clear the fault of another window that starts with it
-        if at_s + duration_s > at_s:
-            self._schedule(at_s, next(self._ranks), self._on_fault, node_id, "start")
-            self._schedule(at_s + duration_s, next(self._ranks), self._on_fault, node_id, "end")
 
     def _schedule(self, time: float, rank: int, handler: Callable[..., None], *args) -> None:
         heapq.heappush(self._queue, (time, rank, handler, args))

@@ -256,7 +256,7 @@ class TestServiceRequest:
 
 
 class TestComponentsMemo:
-    """``NodeRuntime.components`` memoizes ``predict_components`` per node."""
+    """``NodeRuntime.served`` memoizes ``predict_components`` per node."""
 
     @pytest.mark.parametrize(
         "build", [presets.default_scenario, presets.overload_scenario, presets.fault_scenario]
@@ -298,7 +298,8 @@ class TestComponentsMemo:
         for runtime, frame, n in ((node, 0, 1), (node, 600, 0), (empty, 600, 1)):
             for _ in range(2):
                 with pytest.raises(ConfigurationError):
-                    runtime.components(frame, n)
+                    runtime.served(frame, n)
+                assert not runtime._served
 
     def test_node_weights_same_with_warm_memo(self, profiles):
         nlm = Nlm()
@@ -311,5 +312,5 @@ class TestComponentsMemo:
             return node_weights(nodes, sorted(nodes), 800, "rpi-1", nlm, AllocationWeights())
 
         cold = weights()
-        assert all(node._components for node in nodes.values())
+        assert all(node._served for node in nodes.values())
         assert weights() == cold

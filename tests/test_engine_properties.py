@@ -59,7 +59,7 @@ def overlapping_faults(faults) -> bool:
     """Whether two non-empty fault windows on one node share an instant."""
     windows: dict[str, list[tuple[float, float]]] = {}
     for f in faults:
-        if f.duration_s > 0:
+        if f.at_s + f.duration_s > f.at_s:
             windows.setdefault(f.node_id, []).append((f.at_s, f.at_s + f.duration_s))
     for spans in windows.values():
         spans.sort()

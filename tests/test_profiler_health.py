@@ -7,6 +7,7 @@ from edgesim.profiler_health import (
     CRITICAL,
     PASS,
     WARNING,
+    HealthState,
     ProfilerState,
     classify,
     evaluate_health,
@@ -164,29 +165,35 @@ class TestEvaluateHealth:
         assert evaluate_health(profiler).system_state == expected
 
 
+def initial_health():
+    """Every node's health before its first epoch, as the engine builds it."""
+    return HealthState(app_states={}, system_state=PASS)
+
+
 class TestMergeSince:
-    def test_initial_snapshot_gets_now(self):
+    def test_new_task_gets_now(self):
+        # the system state stays pass, so it keeps the initial time
         profiler = ProfilerState()
         profiler.register_task("t1", 100.0)
         profiler.record_inference("t1", 10.0, 0.0)
-        health = merge_since(None, evaluate_health(profiler), 5.0)
-        assert health.system_since == 5.0
+        health = merge_since(initial_health(), evaluate_health(profiler), 5.0)
+        assert health.system_since == 0.0
         assert health.app_since["t1"] == 5.0
 
     def test_unchanged_state_keeps_timestamp(self):
         profiler = ProfilerState()
         profiler.register_task("t1", 100.0)
         profiler.record_inference("t1", 10.0, 0.0)
-        first = merge_since(None, evaluate_health(profiler), 1.0)
+        first = merge_since(initial_health(), evaluate_health(profiler), 1.0)
         second = merge_since(first, evaluate_health(profiler), 2.0)
-        assert second.system_since == 1.0
+        assert second.system_since == 0.0
         assert second.app_since["t1"] == 1.0
 
     def test_transition_updates_timestamp(self):
         profiler = ProfilerState()
         profiler.register_task("t1", 100.0)
         profiler.record_inference("t1", 10.0, 0.0)
-        first = merge_since(None, evaluate_health(profiler), 1.0)
+        first = merge_since(initial_health(), evaluate_health(profiler), 1.0)
         profiler.record_inference("t1", 95.0, 1.5)
         second = merge_since(first, evaluate_health(profiler), 2.0)
         assert second.app_states["t1"] == CRITICAL

@@ -498,6 +498,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "rpi-1" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--sweep", "seeds=1..3")])
+    def test_invalid_scenario_prints_one_error_block(self, tmp_path, capsys, flags):
+        doc = to_dict(presets.default_scenario())
+        doc["end_devices"][0]["qos_ms"] = -1
+        doc["sim"]["duration_s"] = -5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(path), *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario:\n")
+        assert err.count("invalid scenario") == 1
+        assert "\n  end_devices[0] (rpi-1): " in err
+        assert "\n  sim: " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

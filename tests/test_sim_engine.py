@@ -491,7 +491,8 @@ class TestHealthEpochs:
         # scheduled at construction for the same instant, the epochs included
         entries = handled(monkeypatch)
         sim = Simulation(quiet_scenario(6.0))
-        sim.inject_fault("node-a", 3.0, 1.0)
+        sim._schedule(3.0, next(sim._ranks), sim._on_fault, "node-a", "start")
+        sim._schedule(4.0, next(sim._ranks), sim._on_fault, "node-a", "end")
         sim.run()
         assert [name for t, name in entries if t == 3.0] == ["_on_health_epoch", "_on_fault"]
         assert [(e["t"], e["event"]) for e in sim.node_events] == [(3.0, "fault-start"), (4.0, "fault-end")]
@@ -686,9 +687,9 @@ class TestFaults:
 
     def test_unknown_fault_node_rejected(self):
         scenario = mini_scenario()
-        sim = Simulation(scenario)
-        with pytest.raises(ConfigurationError):
-            sim.inject_fault("ghost", 1.0, 1.0)
+        scenario.faults = [FaultSpec(node_id="ghost", at_s=1.0, duration_s=1.0)]
+        with pytest.raises(ConfigurationError, match=r"faults\[0\]: unknown node 'ghost'"):
+            Simulation(scenario)
 
     def test_overlapping_fault_windows_rejected(self):
         # an inner window's end used to reopen the node while the outer
@@ -703,27 +704,36 @@ class TestFaults:
         with pytest.raises(ConfigurationError, match=r"faults\[1\]: overlaps faults\[0\]"):
             Simulation(scenario)
 
-    def test_overlapping_injected_fault_windows_rejected(self):
-        # windows injected by hand after construction never pass through
-        # validate(); the inner end used to reopen upsquared at 10-14 s
+    def test_zero_length_and_back_to_back_windows_run(self):
         scenario = presets.default_scenario()
         scenario.devices = [d for d in scenario.devices if d.name == "upsquared"]
         scenario.end_devices = scenario.end_devices[:1]
-        sim = Simulation(scenario)
-        sim.inject_fault("upsquared", 5.0, 10.0)
-        with pytest.raises(ConfigurationError, match=r"\[7\.0, 9\.0\) on node 'upsquared' overlaps \[5\.0, 15\.0\)"):
-            sim.inject_fault("upsquared", 7.0, 2.0)
-        sim.inject_fault("upsquared", 7.0, 0.0)  # a zero-length window is still a no-op
-        sim.inject_fault("upsquared", 15.0, 1.0)  # back to back
-        check_report(sim.run())
+        scenario.faults = [
+            FaultSpec(node_id="upsquared", at_s=5.0, duration_s=10.0),
+            FaultSpec(node_id="upsquared", at_s=7.0, duration_s=0.0),  # empty: overlaps nothing
+            FaultSpec(node_id="upsquared", at_s=15.0, duration_s=1.0),  # back to back
+        ]
+        report = run(scenario)
+        assert [(e["t"], e["event"]) for e in report.node_events] == [
+            (5.0, "fault-start"),
+            (15.0, "fault-end"),
+            (15.0, "fault-start"),
+            (16.0, "fault-end"),
+        ]
+        check_report(report)
 
-    def test_injected_window_checked_against_scenario_faults(self):
-        scenario = mini_scenario(n_nodes=2)
-        scenario.faults = [FaultSpec(node_id="node-a", at_s=2.0, duration_s=3.0)]
-        sim = Simulation(scenario)
-        sim.inject_fault("node-b", 3.0, 1.0)
-        with pytest.raises(ConfigurationError, match="node 'node-a'"):
-            sim.inject_fault("node-a", 4.0, 1.0)
+    def test_window_whose_end_rounds_to_its_start_overlaps_nothing(self, tmp_path):
+        # 3.0 + 1e-300 == 3.0 lies inside [2, 5), but the window holds no
+        # instant, as the engine's schedule already treats it
+        scenario = presets.default_scenario()
+        scenario.faults = [FaultSpec(node_id="upsquared", at_s=2.0, duration_s=3.0)]
+        write_outputs(run(scenario), tmp_path / "one", "json")
+        scenario.faults.append(FaultSpec(node_id="upsquared", at_s=3.0, duration_s=1e-300))
+        assert not scenario.faults[1].overlaps(scenario.faults[0])
+        write_outputs(run(scenario), tmp_path / "two", "json")
+        assert (tmp_path / "two" / "report.json").read_bytes() == (
+            tmp_path / "one" / "report.json"
+        ).read_bytes()
 
     def test_nested_downtime_windows_close_with_the_outer_one(self):
         events = [
