@@ -8,10 +8,10 @@ holds the bytes of ``json.dumps(report.to_dict(), sort_keys=True,
 indent=2)`` plus a newline, and each ``decisions.log`` line those of
 ``json.dumps(entry, sort_keys=True)``. Neither file is built whole: one
 formatter writes both a chunk of rows at a time. A chunk of flat rows
-(frames from the run's ``FrameTable``, or dicts that share two or more
-str keys) is formatted a column at a time and filled into a cached
-%-template; any other chunk goes through ``json.dumps`` an element at a
-time.
+(slices of the columns of the run's frame and decision tables, or dicts
+that share two or more str keys) is formatted a column at a time and
+filled into a cached %-template; any other chunk goes through
+``json.dumps`` an element at a time.
 Verbosity is controlled by the ``EDGESIM_LOG`` environment variable
 (error|info|debug).
 """
@@ -37,7 +37,7 @@ from . import presets
 from .errors import ConfigurationError, EdgesimError
 from .orchestrator import POLICIES
 from .scenario import Scenario, is_seed, load_scenario, save_scenario, to_dict
-from .sim_engine import FrameTable, MetricsReport, run
+from .sim_engine import ColumnTable, DecisionTable, MetricsReport, run
 
 log = logging.getLogger("edgesim")
 
@@ -135,18 +135,19 @@ _CHUNK = 256
 #: a report.json row nested two deep, and a compact decisions.log line
 _REPORT_ROW = ("{\n      ", ",\n      ", "\n    }")
 _LOG_LINE = ("{", ", ", "}\n")
-_FRAME_KEYS = tuple(sorted(FrameTable.FIELDS))
 
 
 def _json_column(values: Sequence) -> list[str] | None:
     """The JSON text of each value, in one pass; None unless the values are
-    all exactly ``str``, all exactly ``int``, or exactly ``int`` and
-    ``float`` with every float finite."""
+    all exactly ``str``, all exactly ``int``, all exactly ``bool``, or
+    exactly ``int`` and ``float`` with every float finite."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_ESCAPE, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
+    if kinds == {bool}:
+        return ["true" if value else "false" for value in values]
     # the sum of finite floats may overflow, but any NaN or infinity makes
     # it non-finite; an overflow only costs the reference encoder
     if kinds == {float} and math.isfinite(sum(values)):
@@ -196,16 +197,16 @@ def _rows(elements: Sequence, layout: tuple, fallback: Callable[[object], str]) 
         yield texts or list(map(fallback, chunk))
 
 
-def _frame_rows(frames: FrameTable) -> Iterator[list[str]]:
-    """The frame rows of ``report.json``, ``_CHUNK`` at a time, from slices
-    of the table's columns; a chunk that ``_filled`` refuses goes through
-    the reference encoder row by row, each row as the dict ``to_dict()``
-    makes of it."""
-    columns = list(map(frames.columns.__getitem__, _FRAME_KEYS))
-    for start in range(0, len(frames), _CHUNK):
+def _table_rows(table: ColumnTable, layout: tuple, fallback: Callable[[object], str]) -> Iterator[list[str]]:
+    """The rows of a column table, ``_CHUNK`` at a time, from slices of its
+    columns; a chunk that ``_filled`` refuses goes through ``fallback`` row
+    by row, each row as the dict ``to_dict()`` makes of it."""
+    keys = tuple(sorted(table.FIELDS))
+    columns = list(map(table.columns.__getitem__, keys))
+    for start in range(0, len(table), _CHUNK):
         chunk = [column[start : start + _CHUNK] for column in columns]
-        texts = _filled(_FRAME_KEYS, chunk, _REPORT_ROW)
-        yield texts or [_dumps(dict(zip(_FRAME_KEYS, row))) for row in zip(*chunk)]
+        texts = _filled(keys, chunk, layout)
+        yield texts or [fallback(dict(zip(keys, row))) for row in zip(*chunk)]
 
 
 def _dumps(value: object, level: int = 2) -> str:
@@ -215,25 +216,25 @@ def _dumps(value: object, level: int = 2) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def write_decisions_log(report: MetricsReport, handle: TextIO) -> None:
+def write_decisions_log(decisions: DecisionTable, handle: TextIO) -> None:
     """One ``json.dumps(entry, sort_keys=True)`` line per decision entry."""
-    lines = _rows(report.decision_log, _LOG_LINE, lambda entry: json.dumps(entry, sort_keys=True) + "\n")
+    lines = _table_rows(decisions, _LOG_LINE, lambda entry: json.dumps(entry, sort_keys=True) + "\n")
     handle.writelines(chain.from_iterable(lines))
 
 
 def write_report_json(report: MetricsReport, handle: TextIO) -> None:
     """Stream ``report.json``: the bytes of
     ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"``. The
-    frames, and any other list section or object section with str keys,
-    go out a chunk of elements at a time; any other section through the
-    encoder."""
+    frame and decision tables, and any other list section or object
+    section with str keys, go out a chunk of elements at a time; any other
+    section through the encoder."""
     sep = "{"
     for name, section in sorted(report.sections().items()):
         handle.write(f"{sep}\n  {_ESCAPE(name)}: ")
         sep = ","
         kind = type(section)
-        if name == "frames":
-            brackets, chunks = "[]", _frame_rows(section)
+        if isinstance(section, ColumnTable):
+            brackets, chunks = "[]", _table_rows(section, _REPORT_ROW, _dumps)
         elif kind is list or kind is tuple:
             brackets, chunks = "[]", _rows(section, _REPORT_ROW, _dumps)
         elif kind is dict and all(type(key) is str for key in section):
@@ -260,7 +261,7 @@ def write_outputs(report: MetricsReport, out_dir: Path, fmt: str) -> None:
         _atomic_write(out_dir / "report.json", lambda handle: write_report_json(report, handle))
     if fmt in ("csv", "all"):
         _atomic_write(out_dir / "frames.csv", lambda handle: write_frames_csv(report, handle))
-    _atomic_write(out_dir / "decisions.log", lambda handle: write_decisions_log(report, handle))
+    _atomic_write(out_dir / "decisions.log", lambda handle: write_decisions_log(report.decision_log, handle))
     _atomic_write(out_dir / "summary.txt", lambda handle: handle.write(summary_text(report)))
 
 

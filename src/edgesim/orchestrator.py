@@ -23,6 +23,7 @@ from .net_model import Nlm, link_score
 from .profiler_health import CRITICAL, ProfilerState
 
 DEFAULT_HANDOVER_OVERHEAD_MS = 50.0
+DIGEST_CHARS = 12  # the length of a decision_digest text
 
 POLICY_MIN_LATENCY = "min-latency"
 POLICY_WEIGHTED = "weighted"
@@ -203,4 +204,4 @@ def migration_cost_ms(
 def decision_digest(payload: dict) -> str:
     """Short stable digest of a decision's inputs, for the decision log."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return hashlib.sha256(canonical.encode()).hexdigest()[:DIGEST_CHARS]

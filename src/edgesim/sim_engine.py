@@ -34,6 +34,7 @@ from .device_model import (
 from .errors import AssignmentUnavailableError, ConfigurationError
 from .net_model import Nlm
 from .orchestrator import (
+    DIGEST_CHARS,
     POLICY_WEIGHTED,
     TRIGGER_APP,
     TRIGGER_SYSTEM,
@@ -59,6 +60,7 @@ from .scenario import EndDevice, Scenario, is_seed, validate
 
 __all__ = [
     "EndDevice",
+    "DecisionTable",
     "FrameRecord",
     "FrameTable",
     "MetricsReport",
@@ -260,20 +262,18 @@ _INT_COLUMNS = ("frame_id", "n_instances")
 _FLOAT_COLUMNS = ("emitted_at", "completed_at", "net_out_ms", "net_back_ms", "queueing_ms", "e2e_ms")
 
 
-class FrameTable(Sequence):
-    """Completed frames as columns, one per ``FrameRecord`` field in field
-    order: ``array('q')`` for the int columns, ``array('d')`` for the float
-    ones and a list for each other. An item is a ``FrameRecord`` built when
-    it is read; a slice is a list of them."""
+class ColumnTable(Sequence):
+    """Rows as columns, one per ``FIELDS`` name, each made by ``_column``. An
+    item is ``_row`` of a row's values (a dict by default); a slice, a list."""
 
-    FIELDS = tuple(f.name for f in fields(FrameRecord))
+    FIELDS: tuple[str, ...] = ()
 
     def __init__(self) -> None:
-        self.columns: dict[str, array | list] = {
-            name: array("q") if name in _INT_COLUMNS else array("d") if name in _FLOAT_COLUMNS else []
-            for name in self.FIELDS
-        }
+        self.columns: dict[str, Sequence] = {name: self._column(name) for name in self.FIELDS}
         self._appends = tuple(column.append for column in self.columns.values())
+
+    def _row(self, *values: object) -> object:
+        return dict(zip(self.FIELDS, values))
 
     def append(self, *values: object) -> None:
         """Add one row: a value per field, in field order."""
@@ -281,15 +281,27 @@ class FrameTable(Sequence):
             add(value)
 
     def __len__(self) -> int:
-        return len(self.columns["frame_id"])
+        return len(self.columns[self.FIELDS[0]])
 
-    def __getitem__(self, index: int | slice) -> FrameRecord | list[FrameRecord]:
+    def __getitem__(self, index: int | slice) -> object:
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        return FrameRecord(*(column[index] for column in self.columns.values()))
+        return self._row(*(column[index] for column in self.columns.values()))
 
-    def __iter__(self) -> Iterator[FrameRecord]:
-        return map(FrameRecord, *self.columns.values())
+    def __iter__(self) -> Iterator:
+        return map(self._row, *self.columns.values())
+
+
+class FrameTable(ColumnTable):
+    """Completed frames as columns: ``array('q')`` and ``array('d')`` for the
+    int and float columns above, a list for each other field of ``FrameRecord``."""
+
+    FIELDS = tuple(f.name for f in fields(FrameRecord))
+    _row = FrameRecord
+
+    @staticmethod
+    def _column(name: str) -> Sequence:
+        return array("q") if name in _INT_COLUMNS else array("d") if name in _FLOAT_COLUMNS else []
 
     def sort(self) -> None:
         """Order the rows by ``(completed_at, frame_id)`` in place, one
@@ -313,6 +325,42 @@ def _view(column: array) -> np.ndarray:
     return np.frombuffer(column, dtype=column.typecode)
 
 
+class _Digests(Sequence):
+    """Digests packed into one bytearray, ``DIGEST_CHARS`` ASCII bytes each, read back as ``str``."""
+
+    def __init__(self) -> None:
+        self._bytes = bytearray()
+
+    def append(self, digest: str) -> None:
+        data = digest.encode("ascii")
+        if len(data) != DIGEST_CHARS:
+            raise ValueError(f"a digest is {DIGEST_CHARS} ASCII characters, got {digest!r}")
+        self._bytes += data
+
+    def __len__(self) -> int:
+        return len(self._bytes) // DIGEST_CHARS
+
+    def __getitem__(self, index: int | slice) -> str | list[str]:
+        rows, width = range(len(self))[index], DIGEST_CHARS
+        if type(rows) is int:
+            return self._bytes[rows * width : (rows + 1) * width].decode()
+        if rows.step != 1:
+            return [self[i] for i in rows]
+        text = self._bytes[rows.start * width : rows.stop * width].decode()
+        return [text[i : i + width] for i in range(0, len(text), width)]
+
+
+class DecisionTable(ColumnTable):
+    """The decision log as columns: lists that keep the objects they are
+    given, and the digests packed. An item is the dict ``to_dict()`` holds."""
+
+    FIELDS = ("t", "kind", "digest", "decision", "reason")
+
+    @staticmethod
+    def _column(name: str) -> Sequence:
+        return _Digests() if name == "digest" else []
+
+
 @dataclass
 class MetricsReport:
     """Everything a run emits; serializable and deterministic."""
@@ -329,15 +377,14 @@ class MetricsReport:
     breakdown: list[dict]
     health_transitions: list[dict]
     node_events: list[dict]
-    decision_log: list[dict]
+    decision_log: DecisionTable
     nlm_snapshot: dict
     registry_dump: list[dict]
     gossip_kbps_per_node: float
 
     def sections(self) -> dict:
-        """The top-level sections of ``to_dict()``, except that ``frames``
-        is the ``FrameTable`` itself, so a writer can format its columns
-        without copying each frame into a dict."""
+        """The top-level sections of ``to_dict()``, except that ``frames`` and
+        ``decision_log`` are the tables, whose columns a writer formats."""
         return {
             "seed": self.seed,
             "policy": self.policy,
@@ -358,9 +405,8 @@ class MetricsReport:
         }
 
     def to_dict(self) -> dict:
-        doc = self.sections()
-        doc["frames"] = [dict(vars(f)) for f in self.frames]
-        return doc
+        frames = [dict(vars(f)) for f in self.frames]
+        return {**self.sections(), "frames": frames, "decision_log": list(self.decision_log)}
 
 
 class Simulation:
@@ -400,7 +446,7 @@ class Simulation:
         self.pending: dict[str, _Frame] = {}
         self.records = FrameTable()
         self.migrations: list[MigrationRecord] = []
-        self.decision_log: list[dict] = []
+        self.decision_log = DecisionTable()
         self.health_transitions: list[dict] = []
         self.node_events: list[dict] = []
         self.instance_series: dict[str, list[tuple[float, int]]] = {}
@@ -509,15 +555,7 @@ class Simulation:
         return not self.offloading or self.health[name].system_state != CRITICAL
 
     def _log(self, kind: str, decision: str, reason: str, inputs: dict) -> None:
-        self.decision_log.append(
-            {
-                "t": self.now,
-                "kind": kind,
-                "digest": decision_digest(inputs),
-                "decision": decision,
-                "reason": reason,
-            }
-        )
+        self.decision_log.append(self.now, kind, decision_digest(inputs), decision, reason)
 
     # -- event loop ----------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from edgesim.sim_engine import FrameTable, MetricsReport, Simulation
+from edgesim.sim_engine import DecisionTable, FrameTable, MetricsReport, Simulation
 
 _EPS = 1e-9
 
@@ -12,6 +12,14 @@ def table_of(records) -> FrameTable:
     table = FrameTable()
     for record in records:
         table.append(*vars(record).values())
+    return table
+
+
+def decisions_of(rows) -> DecisionTable:
+    """A decision table holding ``rows``, dicts with its five keys, in order."""
+    table = DecisionTable()
+    for row in rows:
+        table.append(*map(row.__getitem__, table.FIELDS))
     return table
 
 
@@ -32,7 +40,7 @@ def check_counters_recompute(report: MetricsReport) -> None:
     assert c["qos_violations"] == violations
     completed_migrations = sum(1 for m in report.migrations if m.completed_at is not None)
     assert c["migrations"] == completed_migrations
-    failures = sum(1 for e in report.decision_log if e["kind"] == "assign-failed")
+    failures = report.decision_log.columns["kind"].count("assign-failed")
     assert c["assignment_failures"] == failures
 
 

@@ -20,7 +20,7 @@ from edgesim.cli import FRAME_COLUMNS, PRESET_SCENARIOS, main
 from edgesim.device_model import DeviceProfile
 from edgesim.errors import ConfigurationError
 from edgesim.net_model import EmaWeights, StableParams
-from edgesim.orchestrator import AllocationWeights
+from edgesim.orchestrator import AllocationWeights, MigrationRecord
 from edgesim.scenario import (
     EndDevice,
     FaultSpec,
@@ -38,7 +38,7 @@ from edgesim.scenario import (
 )
 from edgesim.sim_engine import FrameRecord, FrameTable, MetricsReport, Simulation, run
 
-from engine_checks import table_of
+from engine_checks import decisions_of, table_of
 
 
 class TestValidate:
@@ -558,7 +558,7 @@ def reference_log(report: MetricsReport) -> str:
 
 def streamed_log(report: MetricsReport) -> str:
     buf = io.StringIO()
-    cli.write_decisions_log(report, buf)
+    cli.write_decisions_log(report.decision_log, buf)
     return buf.getvalue()
 
 
@@ -597,7 +597,13 @@ def odd_frame(**values) -> FrameRecord:
     return FrameRecord(**base)
 
 
-def odd_report(frames, decision_log) -> MetricsReport:
+def decision(i: int = 0, **values) -> dict:
+    """A decision row: the five keys of the decision table, with
+    ``values`` in place of the defaults."""
+    return {"t": float(i), "kind": "assign", "digest": "0123456789ab", "decision": "n", "reason": "r", **values}
+
+
+def odd_report(frames, decision_log, health_transitions=()) -> MetricsReport:
     return MetricsReport(
         seed=3,
         policy="p\u00e9",
@@ -609,9 +615,9 @@ def odd_report(frames, decision_log) -> MetricsReport:
         instance_series={"n": [(0.0, 0), (1.5, 2)]},
         utilization={"n": math.nan},
         breakdown=[{"nested": {"deeper": [[], {}, [None, True, False]]}}],
-        health_transitions=[],
+        health_transitions=list(health_transitions),
         node_events=[],
-        decision_log=decision_log,
+        decision_log=decisions_of(decision_log),
         nlm_snapshot={},
         registry_dump=[{"k": -math.inf, "tuple": (1, "x")}],
         gossip_kbps_per_node=np.float64(7.25),
@@ -652,6 +658,15 @@ def row_values():
 def section_elements():
     """Rows whose keys arrive in random order, and nested trees."""
     return st.dictionaries(st.text(max_size=4), row_values(), max_size=5) | json_trees()
+
+
+def decision_rows():
+    """Decision rows: any row value under each key but the digest, which
+    is always 12 ASCII characters."""
+    digest = st.text(st.characters(min_codepoint=0, max_codepoint=127), min_size=12, max_size=12)
+    return st.fixed_dictionaries(
+        {"t": row_values(), "kind": row_values(), "digest": digest, "decision": row_values(), "reason": row_values()}
+    )
 
 
 #: what a typed column of the frame table takes: ints or floats, bools and
@@ -750,7 +765,7 @@ class TestStreamedReport:
         scenario.end_devices = scenario.end_devices[:1]
         scenario.end_devices[0].start_s = scenario.sim.duration_s
         report = run(scenario, seed=1)
-        assert len(report.frames) == 0 and report.decision_log == [] and report.migrations == []
+        assert len(report.frames) == 0 and len(report.decision_log) == 0 and report.migrations == []
         assert streamed_json(report) == reference_json(report)
 
     def test_empty_sections(self):
@@ -760,13 +775,15 @@ class TestStreamedReport:
 
     @pytest.mark.parametrize("text", AWKWARD)
     def test_awkward_strings_in_frame_rows_and_sections(self, text):
-        report = odd_report([odd_frame(task_id=text, state=text)], [{text: text, "at": [text]}])
+        decisions = [decision(kind=text, decision=text, reason=text)]
+        report = odd_report([odd_frame(task_id=text, state=text)], decisions, [{text: text, "at": [text]}])
         assert streamed_json(report) == reference_json(report)
+        assert streamed_log(report) == reference_log(report)
 
     def test_percent_signs_in_row_keys(self):
         # a row's keys are written into its %-template
         rows = [{"%": "a", "b%s": 1, "%%r": 2.5}, {"%(x)s": "%s", "y": "%"}]
-        report = odd_report([odd_frame()], rows)
+        report = odd_report([odd_frame()], [decision(decision="%(t)s", reason="%d")], rows)
         report.nlm_snapshot = {"%": {"%d": "", "": "%"}}
         assert streamed_json(report) == reference_json(report)
 
@@ -787,16 +804,18 @@ class TestStreamedReport:
     )
     def test_odd_values_in_frame_rows_and_sections(self, values):
         frames = [odd_frame(), odd_frame(frame_id=1, **values), odd_frame(frame_id=2)]
-        report = odd_report(frames, [dict(values, kind="odd")])
+        report = odd_report(frames, [], [dict(values, kind="odd")])
         assert streamed_json(report) == reference_json(report)
 
-    @pytest.mark.parametrize("where", ["frame", "section"])
+    @pytest.mark.parametrize("where", ["frame", "decisions", "section"])
     def test_unencodable_value_raises_the_encoders_type_error(self, where):
         bad = {1, 2}
         if where == "frame":
             report = odd_report([odd_frame(), odd_frame(node=bad)], [])
+        elif where == "decisions":
+            report = odd_report([odd_frame()], [decision(kind=bad)])
         else:
-            report = odd_report([odd_frame()], [{"kind": bad}])
+            report = odd_report([odd_frame()], [], [{"kind": bad}])
         with pytest.raises(TypeError) as expected:
             reference_json(report)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
@@ -805,11 +824,12 @@ class TestStreamedReport:
     @settings(max_examples=300, deadline=None)
     @given(
         frames=st.lists(frame_values(), max_size=3),
-        decisions=st.lists(section_elements(), max_size=4),
+        decisions=st.lists(decision_rows(), max_size=4),
+        transitions=st.lists(section_elements(), max_size=4),
         links=st.dictionaries(st.text(max_size=4), section_elements(), max_size=3),
     )
-    def test_random_sections_match_the_reference_encoder(self, frames, decisions, links):
-        report = odd_report([odd_frame(**values) for values in frames], decisions)
+    def test_random_sections_match_the_reference_encoder(self, frames, decisions, transitions, links):
+        report = odd_report([odd_frame(**values) for values in frames], decisions, transitions)
         report.nlm_snapshot = links
         assert streamed_json(report) == reference_json(report)
         assert streamed_log(report) == reference_log(report)
@@ -831,7 +851,7 @@ class TestStreamedReport:
         # 300 rows are two chunks of at most 256; row 270 is in the second
         n, at = 300, 270
         frames = [odd_frame(frame_id=i, cpu_ms=odd if i == at else 12.5) for i in range(n)]
-        decisions = [{"kind": "assign", "t": float(i), "decision": odd if i == at else "n"} for i in range(n)]
+        decisions = [decision(i, decision=odd if i == at else "n") for i in range(n)]
         report = odd_report(frames, decisions)
         report.nlm_snapshot = {f"a|{i:03d}": {"latest_ms": odd if i == at else 1.5, "i": i} for i in range(n)}
         encoded = []
@@ -849,22 +869,58 @@ class TestStreamedReport:
         assert [row["t"] for row in rows if "kind" in row] == [float(i) for i in range(256, n)]
         assert [row["i"] for row in rows if "latest_ms" in row] == list(range(256, n))
 
+    @pytest.mark.parametrize(
+        "values, texts",
+        [
+            ([True, False, True], ["true", "false", "true"]),
+            ([True, 1], None),
+            ([0, False], None),
+            ([False, 0.5], None),
+            ([True, Level.HIGH], None),
+            ([True, None], None),
+        ],
+    )
+    def test_a_column_of_bools_and_only_bools_is_a_kind(self, values, texts):
+        assert cli._json_column(values) == texts
+
+    def test_bool_columns_fill_their_rows_and_a_bool_int_mix_goes_to_the_encoder(self, monkeypatch):
+        # 300 migration rows are two chunks of at most 256; row 270, in the
+        # second, has the int 1 where every other row has a bool
+        n, at = 300, 270
+        report = odd_report([], [])
+        report.migrations = [
+            MigrationRecord(
+                f"task-{i}", "a", "b", "app-critical", 1.5, float(i), float(i) + 0.25,
+                retried=i % 2 == 0, abandoned=1 if i == at else i % 3 == 0,
+            )
+            for i in range(n)
+        ]
+        encoded = []
+        dumps = cli._dumps
+
+        def spy(value, level=2):
+            encoded.append(value)
+            return dumps(value, level)
+
+        monkeypatch.setattr(cli, "_dumps", spy)
+        assert streamed_json(report) == reference_json(report)
+        rows = [value for value in encoded if type(value) is dict and "decided_at" in value]
+        assert [row["decided_at"] for row in rows] == [float(i) for i in range(256, n)]
+
     def test_one_chunk_of_rows_with_keys_in_different_orders(self):
         # the keys are template text too
-        decisions = [
+        transitions = [
             {"kind": "a", "t%s": 1.0, "%(node)s": "n"},
             {"t%s": 2, "%(node)s": "m", "kind": "b"},
             {"%(node)s": "o%", "kind": "c", "t%s": 3.5},
         ]
-        report = odd_report([odd_frame()], decisions)
+        report = odd_report([odd_frame()], [], transitions)
         report.nlm_snapshot = {"x": {"b": 1, "a": "z"}, "y": {"a": "w", "b": 2.5}}
         assert streamed_json(report) == reference_json(report)
-        assert streamed_log(report) == reference_log(report)
         # rows with as many keys but not the same ones are no chunk of rows
-        report.decision_log = [{"a": 1, "b": 2}, {"a": 3, "c": 4}]
+        report.health_transitions = [{"a": 1, "b": 2}, {"a": 3, "c": 4}]
         report.nlm_snapshot = {"x": {"a": "z", "b": 1}, "y": {"b": 2, "c": "w"}}
         assert streamed_json(report) == reference_json(report)
-        assert streamed_log(report) == reference_log(report)
 
     @pytest.mark.parametrize(
         "odd",
@@ -875,18 +931,17 @@ class TestStreamedReport:
             {"decision": True},
             {"decision": None},
             {"decision": {"nested": [1, 2.5, None]}},
-            {"%s": "%", "%(t)s": 1, "t%%": "%d"},
+            # the table's keys are fixed, so % reaches a line only in values
+            {"kind": "%s", "decision": "%(t)s", "reason": "%d%%"},
         ],
     )
     def test_decisions_log_with_odd_rows(self, odd):
         # the first time is an int among float times; {} leaves every row flat
-        decisions = [
-            {"decision": "n", "digest": "abc", "kind": "assign", "reason": "r", "t": float(i) if i else 0}
-            for i in range(4)
-        ]
+        decisions = [decision(i, t=float(i) if i else 0) for i in range(4)]
         decisions[2] = {**decisions[2], **odd}
         report = odd_report([], decisions)
         assert streamed_log(report) == reference_log(report)
+        assert streamed_json(report) == reference_json(report)
 
     def test_decisions_log_lines_match_json_dumps(self, tmp_path):
         report = run(presets.overload_scenario(), seed=1)

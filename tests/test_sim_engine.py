@@ -26,6 +26,7 @@ from edgesim.profiler_health import classify
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import (
     _TIME_EPS,
+    DecisionTable,
     FrameRecord,
     Simulation,
     _entropy,
@@ -40,6 +41,7 @@ from engine_checks import (
     check_conservation,
     check_placement_after_every_entry,
     check_report,
+    decisions_of,
     downtime_windows,
     table_of,
 )
@@ -1055,19 +1057,98 @@ class TestFrameTable:
         # sizes that vary between Python versions
         scenario = workloads.stream_steady()
         scenario.sim.duration_s = 300.0
-        sim = Simulation(scenario, seed=5)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            # a full collection also empties the interpreter's free lists
-            gc.collect()
-            before = tracemalloc.get_traced_memory()[0]
-            report = sim.run()
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        report, held = run_traced(Simulation(scenario, seed=5))
         assert len(report.frames) > 7000
         assert held / len(report.frames) <= 300
+
+    def test_decisions_hold_few_bytes(self, workloads):
+        # as dicts, each with its own digest str, the decisions brought this
+        # to about 350 bytes per completed frame and decision; as columns
+        # with packed digests it is about 200. Most of control-churn's
+        # decisions are assign-failed rows, one per dropped frame
+        scenario = workloads.control_churn()
+        scenario.sim.duration_s = 120.0
+        report, held = run_traced(Simulation(scenario, seed=5))
+        assert len(report.decision_log) > 5000
+        assert held / (len(report.frames) + len(report.decision_log)) <= 260
+
+
+def run_traced(sim):
+    """The report of ``sim.run()`` and the traced bytes the run left held."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        # a full collection also empties the interpreter's free lists
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        report = sim.run()
+        gc.collect()
+        return report, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+decision_rows = st.fixed_dictionaries(
+    {
+        "t": finite | st.integers(0, 10**6),
+        "kind": st.sampled_from(["assign", "assign-failed", "migrate"]),
+        "digest": st.text("0123456789abcdef", min_size=12, max_size=12),
+        "decision": st.text(max_size=8),
+        "reason": st.text(max_size=8),
+    }
+)
+
+
+class TestDecisionTable:
+    """The decision log is kept as columns and read back as dicts."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(decision_rows, min_size=5, max_size=5))
+    def test_reads_like_the_list_of_its_rows(self, rows):
+        table = decisions_of(rows)
+        assert len(table) == len(rows) == 5
+        for i in (0, 3, -1, -5):
+            assert exact_rows([table[i]]) == exact_rows([rows[i]])
+        for part in (slice(None), slice(1, 4), slice(None, None, -2), slice(-2, None), slice(7, 9)):
+            assert exact_rows(table[part]) == exact_rows(rows[part])
+            assert table.columns["digest"][part] == [row["digest"] for row in rows[part]]
+        assert exact_rows(table) == exact_rows(rows)
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                table[i]
+            with pytest.raises(IndexError):
+                table.columns["digest"][i]
+
+    def test_digests_are_packed_and_only_twelve_ascii_characters_fit(self):
+        table = DecisionTable()
+        table.append(1, "assign", "0123456789ab", "edge-a", "r")
+        assert table.columns["digest"]._bytes == b"0123456789ab"
+        for digest in ("0123456789a", "0123456789abc", "0123456789a\u00e9"):
+            with pytest.raises(ValueError):
+                table.columns["digest"].append(digest)
+        row = {"t": 1, "kind": "assign", "digest": "0123456789ab", "decision": "edge-a", "reason": "r"}
+        assert list(table) == [row]
+
+    def test_the_engine_logs_packed_digests_and_int_fault_times_as_ints(self, tmp_path):
+        scenario = presets.fault_scenario()
+        scenario.faults[0].at_s, scenario.faults[0].duration_s = 10, 8
+        report = run(scenario, seed=1)
+        log = report.decision_log
+        assert type(log) is DecisionTable
+        assert [t for t in log.columns["t"] if type(t) is int] == [10, 18]
+        digests = log.columns["digest"]
+        assert len(digests._bytes) == 12 * len(log)
+        assert all(re.fullmatch("[0-9a-f]{12}", digest) for digest in digests)
+        assert report.to_dict()["decision_log"] == list(log)
+        write_outputs(report, tmp_path, "json")
+        text = (tmp_path / "decisions.log").read_text()
+        assert text == "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in log)
+        assert '"t": 10}' in text and '"t": 18}' in text
+        assert '"t": 10\n    }' in (tmp_path / "report.json").read_text()
+
+
+def exact_rows(rows):
+    """Each row's values with their types, in key order."""
+    return [[(key, type(row[key]), repr(row[key])) for key in sorted(row)] for row in rows]
