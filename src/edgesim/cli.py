@@ -36,7 +36,7 @@ from typing import Callable, TextIO
 from . import presets
 from .errors import ConfigurationError, EdgesimError
 from .orchestrator import POLICIES
-from .scenario import Scenario, is_seed, load_scenario, save_scenario, to_dict
+from .scenario import Scenario, is_seed, load_scenario, save_scenario, scenario_text
 from .sim_engine import ColumnTable, DecisionTable, MetricsReport, run
 
 log = logging.getLogger("edgesim")
@@ -139,8 +139,8 @@ _LOG_LINE = ("{", ", ", "}\n")
 
 def _json_column(values: Sequence) -> list[str] | None:
     """The JSON text of each value, in one pass; None unless the values are
-    all exactly ``str``, all exactly ``int``, all exactly ``bool``, or
-    exactly ``int`` and ``float`` with every float finite."""
+    all exactly ``str``, all exactly ``int``, all exactly ``bool``, or all
+    exactly ``float`` and finite."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_ESCAPE, values))
@@ -152,8 +152,6 @@ def _json_column(values: Sequence) -> list[str] | None:
     # it non-finite; an overflow only costs the reference encoder
     if kinds == {float} and math.isfinite(sum(values)):
         return list(map(float.__repr__, values))
-    if kinds == {int, float} and math.isfinite(sum(v for v in values if type(v) is float)):
-        return list(map(repr, values))
     return None
 
 
@@ -316,7 +314,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         save_scenario(scenario, args.out)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(to_dict(scenario), indent=2, sort_keys=True))
+        print(scenario_text(scenario), end="")
     return 0
 
 

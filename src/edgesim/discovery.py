@@ -8,7 +8,7 @@ bandwidth accounting formula.
 from __future__ import annotations
 
 from .errors import ConfigurationError
-from .net_model import Nlm, link_score
+from .net_model import Nlm
 
 HEALTHY = "healthy"
 UNHEALTHY = "unhealthy"
@@ -67,7 +67,7 @@ def resolve(
         for node_id, status in registry.nodes_for(service_name)
         if status == HEALTHY and reachable.get(node_id, False)
     ]
-    return sorted(candidates, key=lambda n: (link_score(nlm, n, querying_id), n))
+    return sorted(candidates, key=lambda n: (nlm.score(n, querying_id), n))
 
 
 def gossip_bandwidth(message_bytes: float, interval_s: float) -> float:

@@ -251,9 +251,6 @@ class Nlm:
         self._cursor.extend(array("q", [self._width]) * added)
         self._pairs = None
 
-    def has_link(self, a: str, b: str) -> bool:
-        return (a, b) in self._number
-
     def _index(self, a: str, b: str) -> int:
         try:
             return self._number[(a, b)]
@@ -365,7 +362,8 @@ class Nlm:
                     self._cursor[i] = 0
 
     def score(self, a: str, b: str) -> float:
-        """Composite score of the link, or +inf while uninitialized."""
+        """Composite score of the link, +inf while unsampled so that it ranks
+        last; ``ConfigurationError`` if the link was never registered."""
         return self._score(self._index(a, b))
 
     def _score(self, i: int) -> float:
@@ -389,10 +387,3 @@ class Nlm:
             "budget_ms": self.budget_ms,
         }
 
-
-def link_score(nlm: Nlm, a: str, b: str) -> float:
-    """Composite score of a link, +inf when it is missing or unsampled.
-
-    The one score every ranking reads, so such links rank last everywhere.
-    """
-    return nlm.score(a, b) if nlm.has_link(a, b) else math.inf

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .device_model import NodeRuntime
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm, link_score
+from .net_model import Nlm
 from .profiler_health import CRITICAL, ProfilerState
 
 DEFAULT_HANDOVER_OVERHEAD_MS = 50.0
@@ -102,7 +102,7 @@ def assign_node(statuses: dict[str, NodeStatus], end_device_id: str, nlm: Nlm) -
     Ties break lexicographically by node id. Links with no samples yet
     rank last (score +inf) but remain eligible.
     """
-    chosen = _lowest(_eligible(statuses), lambda n: link_score(nlm, n, end_device_id))
+    chosen = _lowest(_eligible(statuses), lambda n: nlm.score(n, end_device_id))
     if chosen is None:
         raise AssignmentUnavailableError(
             f"no healthy reachable node available for device {end_device_id!r}"
@@ -126,7 +126,7 @@ def select_offload_target(
     """
     return _lowest(
         _eligible(statuses, exclude=(source_node, *exclude)),
-        lambda n: link_score(nlm, n, end_device_id) + link_score(nlm, n, source_node),
+        lambda n: nlm.score(n, end_device_id) + nlm.score(n, source_node),
     )
 
 
@@ -159,7 +159,7 @@ def node_weights(
     for node_id in candidates:
         node = nodes[node_id]
         _, cpu_ms, accel_ms, _, _ = node.served(frame_size, node.n_instances + 1)
-        score = max(link_score(nlm, node_id, end_device_id), 1e-9)
+        score = max(nlm.score(node_id, end_device_id), 1e-9)
         raw[node_id] = (1.0 / cpu_ms, 1.0 / accel_ms, 0.0 if math.isinf(score) else 1.0 / score)
     maxima = [max(r[i] for r in raw.values()) for i in range(3)]
     out: dict[str, float] = {}

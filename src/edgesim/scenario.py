@@ -146,8 +146,8 @@ class SimConfig:
     preload_models: bool = True
 
     def validate(self) -> None:
-        if not (0 < self.duration_s < math.inf):
-            raise ConfigurationError("sim.duration_s must be finite and > 0")
+        if self.duration_s <= 0:
+            raise ConfigurationError("sim.duration_s must be > 0")
         if not is_seed(self.seed):
             raise ConfigurationError("sim.seed must be an unsigned 64-bit integer")
         if self.health_epoch_interval_s <= 0:
@@ -187,7 +187,19 @@ class Scenario:
 
 
 def validate(scenario: Scenario) -> list[str]:
-    """Every violated invariant as ``path: reason``; empty means ok."""
+    """Every violated invariant as ``path: reason``; empty means ok. The
+    scenario is checked as the codec decodes it, so a wrong type or a
+    non-finite number is one error, the one its saved file would give."""
+    return _decoded(scenario)[1]
+
+
+def _decoded(scenario: Scenario) -> tuple[Scenario | None, list[str]]:
+    """The copy of ``scenario`` that its saved file decodes to, and every
+    invariant that copy violates; no copy if it does not decode."""
+    try:
+        scenario = from_dict(to_dict(scenario))
+    except ConfigurationError as exc:
+        return None, [str(exc)]
     errors: list[str] = []
 
     def check(path: str, fn) -> None:
@@ -196,8 +208,6 @@ def validate(scenario: Scenario) -> list[str]:
         except ConfigurationError as exc:
             errors.append(f"{path}: {exc}")
 
-    for path in _nonfinite(to_dict(scenario)):
-        errors.append(f"{path[1:]}: must be a finite number")  # drop the root's leading "."
     if not scenario.devices:
         errors.append("devices: at least one edge node is required")
     if not scenario.end_devices:
@@ -234,7 +244,7 @@ def validate(scenario: Scenario) -> list[str]:
         for j, other in enumerate(scenario.faults[:i]):
             if fault.overlaps(other):
                 errors.append(f"faults[{i}]: overlaps faults[{j}] on node {fault.node_id!r}")
-    return errors
+    return scenario, errors
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +344,8 @@ def _decode(tp, value, path: str):
 
 
 def _encode(value):
-    """Inverse of ``_decode``: dataclasses become objects in field order."""
+    """Inverse of ``_decode``: dataclasses become objects in field order.
+    A value of no field type is kept as it is, for ``_decode`` to reject."""
     if isinstance(value, (str, int, float)):
         return value
     if isinstance(value, np.integer):  # a seed, which is_seed accepts as one
@@ -342,22 +353,13 @@ def _encode(value):
     if isinstance(value, list):
         return [_encode(item) for item in value]
     if isinstance(value, dict):  # the only dict field is DeviceProfile.calibration
-        return [
-            vars(_CalibrationPoint(f, n, cpu, accel))
-            for (f, n), (cpu, accel) in sorted(value.items())
-        ]
+        try:
+            return [vars(_CalibrationPoint(f, n, *ms)) for (f, n), ms in sorted(value.items())]
+        except (TypeError, ValueError):  # keys or latencies that are no pairs, or keys that do not sort
+            return value
+    if not dataclasses.is_dataclass(value):
+        return value
     return {name: _encode(getattr(value, name)) for name in _schema(type(value))[0]}
-
-
-def _nonfinite(doc) -> list[str]:
-    """Path suffix (``.key`` / ``[i]`` steps) of every non-finite float in ``doc``."""
-    if isinstance(doc, float):
-        return [] if math.isfinite(doc) else [""]
-    if isinstance(doc, dict):
-        return [f".{key}{rest}" for key, item in doc.items() for rest in _nonfinite(item)]
-    if isinstance(doc, list):
-        return [f"[{i}]{rest}" for i, item in enumerate(doc) for rest in _nonfinite(item)]
-    return []
 
 
 def from_dict(doc: dict) -> Scenario:
@@ -379,5 +381,11 @@ def load_scenario(path: str | Path) -> Scenario:
     return from_dict(doc)
 
 
+def scenario_text(scenario: Scenario) -> str:
+    """The canonical text of a scenario: its document, keys sorted and
+    indented by two, and a newline. ``save_scenario`` writes it."""
+    return json.dumps(to_dict(scenario), indent=2, sort_keys=True) + "\n"
+
+
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_dict(scenario), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(scenario_text(scenario))

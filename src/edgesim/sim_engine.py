@@ -14,6 +14,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import typing
 from array import array
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
@@ -56,7 +57,7 @@ from .profiler_health import (
     evaluate_health,
     merge_since,
 )
-from .scenario import EndDevice, Scenario, is_seed, validate
+from .scenario import EndDevice, Scenario, _decoded, is_seed
 
 __all__ = [
     "EndDevice",
@@ -256,12 +257,6 @@ class FrameRecord:
     state: str
 
 
-#: the columns whose type the engine's own arithmetic fixes, whatever the
-#: scenario holds; every other column keeps the objects it is given
-_INT_COLUMNS = ("frame_id", "n_instances")
-_FLOAT_COLUMNS = ("emitted_at", "completed_at", "net_out_ms", "net_back_ms", "queueing_ms", "e2e_ms")
-
-
 class ColumnTable(Sequence):
     """Rows as columns, one per ``FIELDS`` name, each made by ``_column``. An
     item is ``_row`` of a row's values (a dict by default); a slice, a list."""
@@ -293,15 +288,18 @@ class ColumnTable(Sequence):
 
 
 class FrameTable(ColumnTable):
-    """Completed frames as columns: ``array('q')`` and ``array('d')`` for the
-    int and float columns above, a list for each other field of ``FrameRecord``."""
+    """Completed frames as columns, one per ``FrameRecord`` field, typed by
+    its annotation: ``array('q')`` for an int, ``array('d')`` for a float
+    and a list for a str."""
 
     FIELDS = tuple(f.name for f in fields(FrameRecord))
+    _TYPES = typing.get_type_hints(FrameRecord)
     _row = FrameRecord
 
-    @staticmethod
-    def _column(name: str) -> Sequence:
-        return array("q") if name in _INT_COLUMNS else array("d") if name in _FLOAT_COLUMNS else []
+    @classmethod
+    def _column(cls, name: str) -> Sequence:
+        code = {int: "q", float: "d"}.get(cls._TYPES[name])
+        return [] if code is None else array(code)
 
     def sort(self) -> None:
         """Order the rows by ``(completed_at, frame_id)`` in place, one
@@ -413,7 +411,8 @@ class Simulation:
     """One deterministic run of a scenario."""
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
-        errors = validate(scenario)
+        # the run reads only its decoded copy, which runs as its saved file does
+        scenario, errors = _decoded(scenario)
         if errors:
             raise ConfigurationError("invalid scenario:\n  " + "\n  ".join(errors))
         self.scenario = scenario

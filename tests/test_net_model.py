@@ -13,7 +13,6 @@ from edgesim.net_model import (
     EmaWeights,
     Nlm,
     StableParams,
-    link_score,
     sample_stable,
     sample_stable_many,
 )
@@ -266,8 +265,6 @@ class TestNlm:
 
     def test_symmetric_coverage(self):
         nlm = self._nlm()
-        assert nlm.has_link("edge-a", "edge-b")
-        assert nlm.has_link("edge-b", "edge-a")
         assert nlm._index("edge-a", "edge-b") == nlm._index("edge-b", "edge-a")
 
     def test_observe_updates_both_directions(self):
@@ -306,11 +303,14 @@ class TestNlm:
         assert (entry["score_ms"], entry["status"], entry["budget_ms"]) == (16.0, "warning", 20.0)
 
     def test_link_score_ranks_missing_and_unsampled_links_last(self):
+        # the engine links every pair it ranks, so a missing link is a
+        # configuration error, not a link that ranks last
         nlm = self._nlm()
-        assert link_score(nlm, "edge-a", "nope") == math.inf
-        assert link_score(nlm, "edge-a", "edge-b") == math.inf
+        with pytest.raises(ConfigurationError, match="no link registered between 'edge-a' and 'nope'"):
+            nlm.score("edge-a", "nope")
+        assert nlm.score("edge-a", "edge-b") == math.inf
         nlm.observe("edge-a", "edge-b", 12.0, 0.0)
-        assert link_score(nlm, "edge-b", "edge-a") == pytest.approx(12.0)
+        assert nlm.score("edge-b", "edge-a") == pytest.approx(12.0)
 
     def test_self_link_rejected(self):
         nlm = Nlm()

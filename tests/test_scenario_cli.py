@@ -33,12 +33,16 @@ from edgesim.scenario import (
     from_dict,
     load_scenario,
     save_scenario,
+    scenario_text,
     to_dict,
     validate,
 )
 from edgesim.sim_engine import FrameRecord, FrameTable, MetricsReport, Simulation, run
 
-from engine_checks import decisions_of, table_of
+from engine_checks import check_report, decisions_of, table_of
+
+#: the files a run writes with ``--format all``
+OUTPUT_FILES = ("report.json", "frames.csv", "decisions.log", "summary.txt")
 
 
 class TestValidate:
@@ -96,12 +100,14 @@ class TestValidate:
         assert validate(scenario) == []
 
     def test_non_finite_floats_set_in_python_reported_with_path(self):
+        # validate decodes first, and the codec stops at the first value it
+        # rejects, so each field is checked on its own
         scenario = presets.default_scenario()
         scenario.end_devices[0].qos_ms = math.nan
+        assert validate(scenario) == ["end_devices[0].qos_ms: expected a finite number, got nan"]
+        scenario = presets.default_scenario()
         scenario.network.edge_edge = dataclasses.replace(scenario.network.edge_edge, alpha=math.nan)
-        errors = validate(scenario)
-        assert "end_devices[0].qos_ms: must be a finite number" in errors
-        assert "network.edge_edge.alpha: must be a finite number" in errors
+        assert validate(scenario) == ["network.edge_edge.alpha: expected a finite number, got nan"]
 
     def test_duplicate_node_names_reported(self):
         scenario = presets.default_scenario()
@@ -392,6 +398,15 @@ class TestCodec:
         text = json.dumps(to_dict(PRESET_SCENARIOS[name]()), indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[name]
 
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_scenario_command_prints_and_saves_the_canonical_text(self, name, capsys, tmp_path):
+        text = scenario_text(PRESET_SCENARIOS[name]())
+        assert hashlib.sha256(text.removesuffix("\n").encode()).hexdigest() == PRESET_SHA256[name]
+        assert main(["scenario", "--name", name]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["scenario", "--name", name, "--out", str(tmp_path / "saved.json")]) == 0
+        assert (tmp_path / "saved.json").read_text() == text
+
 
 def run_cli(*args):
     return main(list(args))
@@ -405,14 +420,14 @@ class TestRunCommand:
     def test_writes_all_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("run", "--scenario", "default", "--seed", "42", "--out", str(out)) == 0
-        for name in ("report.json", "frames.csv", "decisions.log", "summary.txt"):
+        for name in OUTPUT_FILES:
             assert (out / name).exists(), name
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("run", "--scenario", "overload", "--seed", "42", "--out", str(a))
         run_cli("run", "--scenario", "overload", "--seed", "42", "--out", str(b))
-        for name in ("report.json", "frames.csv", "decisions.log", "summary.txt"):
+        for name in OUTPUT_FILES:
             assert digest(a / name) == digest(b / name), name
 
     def test_scenario_file_path_accepted(self, tmp_path):
@@ -717,17 +732,24 @@ def reference_csv(report: MetricsReport) -> str:
 
 
 class TestFrameColumns:
-    """Frames are written from the engine's columns, with every value's
-    own type: a column the scenario fills may hold ints."""
+    """Frames are written from the engine's columns, each typed by its
+    ``FrameRecord`` field."""
 
-    def test_int_values_keep_their_type(self, tmp_path):
-        report = run(int_valued_scenario(), seed=1)
+    def test_int_values_are_written_as_floats(self, tmp_path):
+        # the engine runs on the scenario as the codec decodes it, so an int
+        # in a float field is written as the float its saved copy holds
+        scenario = int_valued_scenario()
+        report = run(scenario, seed=1)
         first = report.frames[0]
-        assert type(first.qos_ms) is int and type(first.dispatched_at) is int
-        cli.write_outputs(report, tmp_path, "all")
-        text = (tmp_path / "report.json").read_text()
-        assert '"qos_ms": 150,' in text and '"dispatched_at": 2,' in text
+        assert type(first.qos_ms) is float and type(first.dispatched_at) is float
+        cli.write_outputs(report, tmp_path / "built", "all")
+        text = (tmp_path / "built" / "report.json").read_text()
+        assert '"qos_ms": 150.0,' in text and '"dispatched_at": 2.0,' in text
         assert text == reference_json(report)
+        save_scenario(scenario, tmp_path / "scenario.json")
+        cli.write_outputs(run(load_scenario(tmp_path / "scenario.json"), seed=1), tmp_path / "saved", "all")
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "built" / name).read_bytes() == (tmp_path / "saved" / name).read_bytes(), name
 
     @pytest.mark.parametrize("name", ["int-valued", *sorted(PRESET_SCENARIOS), "control-churn"])
     def test_frames_csv_equals_the_per_record_f_string(self, name, tmp_path, workloads):
@@ -793,13 +815,13 @@ class TestStreamedReport:
             {"cpu_ms": math.nan},
             {"accel_ms": math.inf},
             {"e2e_ms": -math.inf},
-            {"qos_ms": None},
+            {"task_id": None},
             {"frame_size_px": True, "n_instances": False},
             {"cpu_ms": np.float64(1.5)},
             {"n_instances": Level.HIGH},
             {"net_out_ms": 1e308, "net_back_ms": 1e308},  # finite, but they sum to inf
-            {"emitted_at": 0, "qos_ms": 250},  # ints in float fields
-            {"processing_ms": [1.0, {"x": None}]},
+            {"emitted_at": 0, "qos_ms": 250},  # ints in float fields, kept as floats
+            {"dispatched_to": [1.0, {"x": None}]},
         ],
     )
     def test_odd_values_in_frame_rows_and_sections(self, values):
@@ -850,7 +872,10 @@ class TestStreamedReport:
     def test_odd_row_sends_only_its_own_chunk_to_the_encoder(self, odd, monkeypatch):
         # 300 rows are two chunks of at most 256; row 270 is in the second
         n, at = 300, 270
-        frames = [odd_frame(frame_id=i, cpu_ms=odd if i == at else 12.5) for i in range(n)]
+        frames = [odd_frame(frame_id=i) for i in range(n)]
+        # a float column keeps NaN; a bool it would hold as 1.0, so a bool
+        # goes in a str column
+        frames[at] = odd_frame(frame_id=at, **{"state" if odd is True else "cpu_ms": odd})
         decisions = [decision(i, decision=odd if i == at else "n") for i in range(n)]
         report = odd_report(frames, decisions)
         report.nlm_snapshot = {f"a|{i:03d}": {"latest_ms": odd if i == at else 1.5, "i": i} for i in range(n)}
@@ -949,3 +974,121 @@ class TestStreamedReport:
         cli.write_outputs(report, tmp_path, "json")
         lines = [json.dumps(entry, sort_keys=True) + "\n" for entry in report.decision_log]
         assert (tmp_path / "decisions.log").read_text() == "".join(lines)
+
+
+def _walk(obj, steps):
+    """The object that document ``steps`` lead to in a scenario."""
+    for step in steps:
+        obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+    return obj
+
+
+def _put(scenario: Scenario, steps, value) -> None:
+    """Set the value that document ``steps`` lead to in the scenario object
+    itself, past the codec: a calibration latency inside its table's tuple,
+    and a field of a frozen dataclass in place."""
+    if "calibration" in steps:
+        *head, j, name = steps
+        table = _walk(scenario, head)
+        key = sorted(table)[j]
+        latencies = list(table[key])
+        latencies[("cpu_ms", "accel_ms").index(name)] = value
+        table[key] = tuple(latencies)
+    else:
+        object.__setattr__(_walk(scenario, steps[:-1]), steps[-1], value)
+
+
+def _leaves(doc, steps=()):
+    """The steps to every str, number and bool of a scenario document, but
+    a calibration point's key fields, which the object holds as a dict key."""
+    if isinstance(doc, dict):
+        for key, item in doc.items():
+            yield from _leaves(item, (*steps, key))
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            yield from _leaves(item, (*steps, i))
+    elif not ("calibration" in steps and steps[-1] in ("frame_size_px", "n_instances")):
+        yield steps
+
+
+#: the float fields that a scenario built in Python may hold as ints
+INT_VALUED = ("start_s", "qos_ms", "at_s", "duration_s", "model_load_ms", "cpu_ms", "accel_ms")
+
+
+#: the steps to each of them in the fault preset, the one with a fault window
+FAULT_INT_VALUED = [
+    steps
+    for steps in _leaves(to_dict(presets.fault_scenario()))
+    if steps[0] in ("devices", "end_devices", "faults") and steps[-1] in INT_VALUED
+]
+
+
+class TestOneScenarioPerRun:
+    """A run decodes the scenario once and reads only that copy, so the
+    codec is the one type gate, and a scenario built in Python runs as its
+    saved file does."""
+
+    def test_wrong_types_set_in_python_repro(self):
+        scenario = presets.default_scenario()
+        scenario.end_devices[0].fps = "3"
+        assert validate(scenario) == ["end_devices[0].fps: expected a number, got '3'"]
+        scenario = presets.default_scenario()
+        scenario.orchestrator.offloading_enabled = "no"
+        assert validate(scenario) == ["orchestrator.offloading_enabled: expected true/false, got 'no'"]
+        with pytest.raises(ConfigurationError, match=re.escape("orchestrator.offloading_enabled")):
+            Simulation(scenario)
+
+    @pytest.mark.parametrize("value", ["3", None, [], True, math.nan], ids=repr)
+    def test_wrong_type_in_any_leaf_is_the_codecs_one_error(self, value):
+        doc = to_dict(presets.default_scenario())
+        for steps in _leaves(doc):
+            if type(_section(doc, steps)) is type(value):
+                continue  # "3" in a str field, or True in a bool field
+            wrong = to_dict(presets.default_scenario())
+            _section(wrong, steps[:-1])[steps[-1]] = value
+            with pytest.raises(ConfigurationError) as saved:
+                from_dict(wrong)
+            expected = str(saved.value)
+            assert expected.startswith(_path(steps) + ": ")
+            scenario = presets.default_scenario()
+            _put(scenario, steps, value)
+            assert validate(scenario) == [expected]
+            with pytest.raises(ConfigurationError, match=re.escape(expected)):
+                Simulation(scenario)
+
+    def test_calibration_key_of_another_type_is_one_error(self):
+        scenario = presets.default_scenario()
+        scenario.devices[0].calibration[("600", 1)] = (1.0, 1.0)
+        assert validate(scenario) == ["devices[0].calibration: expected a list, got dict"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(chosen=st.lists(st.sampled_from(FAULT_INT_VALUED), min_size=1, unique=True))
+    def test_int_valued_floats_write_the_bytes_of_the_saved_copy(self, chosen, tmp_path_factory):
+        scenario = presets.fault_scenario()
+        doc = to_dict(scenario)
+        for steps in chosen:
+            _put(scenario, steps, math.ceil(_section(doc, steps)))
+        assert validate(scenario) == []
+        out = tmp_path_factory.mktemp("int-valued")
+        save_scenario(scenario, out / "scenario.json")
+        cli.write_outputs(run(scenario, seed=1), out / "built", "all")
+        cli.write_outputs(run(load_scenario(out / "scenario.json"), seed=1), out / "saved", "all")
+        for name in OUTPUT_FILES:
+            assert (out / "built" / name).read_bytes() == (out / "saved" / name).read_bytes(), name
+
+    def test_changing_the_callers_scenario_after_construction_changes_no_byte(self, tmp_path, monkeypatch):
+        decodes = []
+        decode = from_dict
+        monkeypatch.setattr("edgesim.scenario.from_dict", lambda doc: decodes.append(doc) or decode(doc))
+        scenario = presets.default_scenario()
+        sim = Simulation(scenario, seed=1)
+        assert len(decodes) == 1 and sim.scenario is not scenario
+        scenario.sim.duration_s /= 2
+        scenario.end_devices[0].fps = 4.0
+        scenario.orchestrator.offloading_enabled = not scenario.orchestrator.offloading_enabled
+        report = sim.run()
+        check_report(report)
+        cli.write_outputs(report, tmp_path / "changed", "all")
+        cli.write_outputs(run(presets.default_scenario(), seed=1), tmp_path / "unchanged", "all")
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "changed" / name).read_bytes() == (tmp_path / "unchanged" / name).read_bytes(), name
