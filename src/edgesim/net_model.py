@@ -6,10 +6,17 @@ measurements. Each link keeps load-average style EMAs over 1/5/15 minute
 horizons; their weighted sum is the composite score used to rank links.
 One floor, at which draws are clamped, and one budget, against which
 scores are classified, hold for every link of the matrix.
+
+A link's random stream is the two 128-bit words ``(state, inc)`` of a
+numpy ``PCG64``, which the matrix keeps in a column. Its one ``PCG64`` is
+set to a link's words to draw the link's row, so no link holds a
+generator of its own, and the uniforms are those
+``np.random.Generator.random`` gives on that stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections.abc import Iterable
@@ -30,9 +37,17 @@ DEFAULT_LINK_BUDGET_MS = 50.0
 #: when the row is refilled. An ``Nlm`` reads it when it is built.
 _BLOCK_CAP = 64
 
-#: Most rows ``Nlm._refill`` transforms in one batch; it bounds the
-#: temporaries at 512 * _BLOCK_CAP values.
-_REFILL_CHUNK = 512
+#: Most rows ``Nlm._refill`` draws and transforms in one batch. Each
+#: temporary of a batch is then 64-128 KB (128 * _BLOCK_CAP latencies or
+#: their uniform pairs); at 512 rows they were 256-512 KB, which raised
+#: the peak RSS of a large matrix's first probe by 0.4 MB.
+_REFILL_CHUNK = 128
+
+#: numpy's ``PCG64``: a 128-bit LCG ``state <- state * _PCG_MULT + inc``,
+#: stepped once per 64-bit output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_64 = (1 << 64) - 1
+_MASK_128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -106,6 +121,48 @@ def sample_stable_many(
     return _transform(params, rng.random((n, 2)), floor_ms)
 
 
+def pcg64_stream(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
+    """The ``(state, inc)`` that ``PCG64`` starts from when its seed
+    sequence generates the 64-bit words ``s0..s3``, by PCG's own seeding:
+    ``s0 s1`` (high word first) is the initial state and ``s2 s3`` the
+    sequence; ``inc`` is odd, and the state is stepped in twice."""
+    initstate, initseq = s0 << 64 | s1, s2 << 64 | s3
+    inc = (initseq << 1 | 1) & _MASK_128
+    return ((inc + initstate) * _PCG_MULT + inc) & _MASK_128, inc
+
+
+@functools.cache
+def _advance(steps: int) -> tuple[int, int]:
+    """``(a, c)`` such that a stream's state after ``steps`` outputs is
+    ``a * state + c * inc`` mod 2**128: the LCG step composed ``steps``
+    times by Horner's rule."""
+    a, c = 1, 0
+    for _ in range(steps):
+        a, c = a * _PCG_MULT & _MASK_128, (c * _PCG_MULT + 1) & _MASK_128
+    return a, c
+
+
+_advance(2 * _BLOCK_CAP)  # a row's advance, computed at import, not in a run's setup
+
+
+def _stream_words(stream: tuple[int, int] | None) -> tuple[int, int, int, int]:
+    """A stream as the four uint64 words ``Nlm`` keeps it in: the state's
+    high and low word, then the inc's. Every PCG64 inc is odd, so all
+    zeros stand for no stream."""
+    if stream is None:
+        return 0, 0, 0, 0
+    state, inc = stream
+    if not inc & 1:
+        raise ConfigurationError(f"a PCG64 stream's inc must be odd, got {inc}")
+    return state >> 64, state & _MASK_64, inc >> 64, inc & _MASK_64
+
+
+def _stream_at(words: array, i: int) -> tuple[int, int]:
+    """The ``(state, inc)`` of stream ``i`` in the uint64 column ``words``."""
+    state_hi, state_lo, inc_hi, inc_lo = words[4 * i : 4 * i + 4]
+    return state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+
+
 def _transform(params: StableParams, draws: np.ndarray, floor_ms: float) -> np.ndarray:
     """Latencies from rows of (u, w) uniform pairs; elementwise, so rows
     from different streams may share one call."""
@@ -169,11 +226,14 @@ class EmaWeights:
 class Nlm:
     """Network latency matrix over all edge<->edge and edge<->device pairs.
 
-    A link is its stable law and the generator its draws come from. Every
-    draw is clamped at the matrix's ``floor_ms``, and every score is
-    classified against its ``budget_ms``. Links are numbered in the order
-    they are added, and both orders of a pair map to one number, so
-    coverage is symmetric by construction. The EMAs, last update time and
+    A link is its stable law and the PCG64 stream, ``(state, inc)``, its
+    draws come from, kept as four words of the uint64 column ``_streams``
+    and advanced past every drawn row; the matrix's one bit generator,
+    shared by all its links, draws the rows. Every draw is clamped at the
+    matrix's ``floor_ms``, and every score is classified against its
+    ``budget_ms``. Links are numbered in the order they are added, and
+    both orders of a pair map to one number, so coverage is symmetric by
+    construction. The EMAs, last update time and
     latest sample of every link are columns indexed by that number:
     ``array`` columns, so a single link is read and written as cheaply as
     a Python float, which ``probe_all`` views as numpy arrays to fold a
@@ -194,7 +254,8 @@ class Nlm:
         self.floor_ms = floor_ms
         self.budget_ms = budget_ms
         self._number: dict[tuple[str, str], int] = {}
-        self._links: list[tuple[StableParams, np.random.Generator | None]] = []
+        self._params: list[StableParams] = []
+        self._streams = array("Q")  # four words per link (_stream_words)
         self._pairs: list[tuple[str, str]] | None = None
         self._emas = tuple(array("d") for _ in EMA_HORIZONS_S)
         self._last_update = array("d")
@@ -204,15 +265,18 @@ class Nlm:
         self._width = _BLOCK_CAP
         self._draws = array("d")
         self._cursor = array("q")
+        self._bits = np.random.PCG64(0)  # set to a link's stream before each of its rows
+        self._rng = np.random.Generator(self._bits)
 
-    def add_link(self, a: str, b: str, params: StableParams, rng: np.random.Generator | None = None) -> None:
-        """Register a link; ``rng`` is the stream its draws come from.
+    def add_link(self, a: str, b: str, params: StableParams, stream: tuple[int, int] | None = None) -> None:
+        """Register a link; ``stream`` is the PCG64 ``(state, inc)`` its
+        draws come from, as ``sim_engine.substreams`` gives them.
 
         Registering a pair again replaces its link and clears its row.
         """
-        self.add_links([(a, b, params, rng)])
+        self.add_links([(a, b, params, stream)])
 
-    def add_links(self, entries: Iterable[tuple[str, str, StableParams, np.random.Generator | None]]) -> None:
+    def add_links(self, entries: Iterable[tuple[str, str, StableParams, tuple[int, int] | None]]) -> None:
         """Register links in order, as ``add_link`` on each entry in turn.
 
         Every entry is checked before anything changes, so a bad one
@@ -220,25 +284,30 @@ class Nlm:
         """
         entries = list(entries)
         checked = set()
-        for a, b, params, _ in entries:
+        words = array("Q")
+        for a, b, params, stream in entries:
             if a == b:
                 raise ConfigurationError(f"link endpoints must differ, got {a!r} twice")
             if params not in checked:
                 params.validate()
                 checked.add(params)
-        old = len(self._links)
-        for a, b, params, rng in entries:
+            words.extend(_stream_words(stream))  # OverflowError past 128 bits
+        old = len(self._params)
+        for k, (a, b, params, _) in enumerate(entries):
+            stream = words[4 * k : 4 * k + 4]
             i = self._number.get((a, b))
             if i is None:
-                self._number[(a, b)] = self._number[(b, a)] = len(self._links)
-                self._links.append((params, rng))
+                self._number[(a, b)] = self._number[(b, a)] = len(self._params)
+                self._params.append(params)
+                self._streams.extend(stream)
                 continue
-            self._links[i] = (params, rng)
+            self._params[i] = params
+            self._streams[4 * i : 4 * i + 4] = stream
             if i < old:  # rows new in this batch are appended clear below
                 for column in self._columns:
                     column[i] = 0
                 self._cursor[i] = self._width
-        added = len(self._links) - old
+        added = len(self._params) - old
         # frombytes, not extend: extend(bytes(n)) appends n values
         for column in self._columns:
             column.frombytes(bytes(column.itemsize * added))
@@ -306,7 +375,7 @@ class Nlm:
         and horizon, and the fold is the same IEEE arithmetic on arrays.
         Raises ``TimeRegressionError`` if a link was updated after
         ``now_s``, or ``ConfigurationError`` if a link due for a refill has
-        no generator, changing nothing either way.
+        no stream, changing nothing either way.
         """
         _check_order(now_s, self._last_sampled())
         empty = np.flatnonzero(np.frombuffer(self._cursor, dtype=np.int64) == self._width)
@@ -314,7 +383,7 @@ class Nlm:
             self._refill(empty.tolist())
         # numpy views of the columns; nothing below raises, so no view
         # outlives the call to block a later add_link from growing them
-        n = len(self._links)
+        n = len(self._params)
         cursor = np.frombuffer(self._cursor, dtype=np.int64)
         samples = np.frombuffer(self._draws).reshape(n, self._width)[np.arange(n), cursor]
         cursor += 1
@@ -340,26 +409,46 @@ class Nlm:
         cursors.
 
         Each link draws a row's width of (u, w) pairs from its own stream,
-        so its row holds that stream's next scalar draws. The transform is
-        elementwise, so the links sharing params share one call per
-        ``_REFILL_CHUNK`` rows. Every link is checked before any draws,
-        and no view is taken until then, so a raise changes nothing.
+        so its row holds that stream's next scalar draws, and stores the
+        stream advanced past them. The transform is elementwise, so the
+        links sharing params share one call per ``_REFILL_CHUNK`` rows.
+        Every link is checked before any draws, and no view is taken
+        until then, so a raise changes nothing.
         """
         groups: dict[StableParams, list[int]] = {}
         for i in rows:
-            params, rng = self._links[i]
-            if rng is None:
-                raise ConfigurationError("link has no random generator to draw from")
-            groups.setdefault(params, []).append(i)
+            if not self._streams[4 * i + 3]:  # zero words: no stream
+                raise ConfigurationError("link has no generator stream to draw from")
+            groups.setdefault(self._params[i], []).append(i)
         width = self._width
         table = np.frombuffer(self._draws).reshape(-1, width)
         for params, members in groups.items():
             for start in range(0, len(members), _REFILL_CHUNK):
                 chunk = members[start : start + _REFILL_CHUNK]
-                uniforms = np.concatenate([self._links[i][1].random((width, 2)) for i in chunk])
-                table[chunk] = _transform(params, uniforms, self.floor_ms).reshape(-1, width)
-                for i in chunk:
+                uniforms = np.empty((len(chunk), width, 2))
+                for row, i in enumerate(chunk):
+                    self._draw(i, uniforms[row])
                     self._cursor[i] = 0
+                uniforms = uniforms.reshape(-1, 2)
+                table[chunk] = _transform(params, uniforms, self.floor_ms).reshape(-1, width)
+
+    def _draw(self, i: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the next uniforms of link ``i``'s stream:
+        ``Generator.random`` on the matrix's bit generator, set to the
+        stream. Each takes one 64-bit output, so the stream's words in
+        ``_streams`` are advanced by ``out.size`` steps in place."""
+        state, inc = _stream_at(self._streams, i)
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        a, c = _advance(out.size)
+        state = (a * state + c * inc) & _MASK_128
+        self._streams[4 * i] = state >> 64
+        self._streams[4 * i + 1] = state & _MASK_64
+        self._rng.random(out=out)
 
     def score(self, a: str, b: str) -> float:
         """Composite score of the link, +inf while unsampled so that it ranks

@@ -21,7 +21,12 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+
+# numpy 2 loads numpy.random (about 16 ms) on first use, and the link table
+# draws on a PCG64: imported with the engine, it stays out of a run's
+# setup. Importing it from net_model instead, ahead of the package's other
+# modules, raised stream-steady's peak RSS by 0.6 MB.
+import numpy.random  # noqa: F401
 
 from . import discovery
 from .device_model import (
@@ -33,7 +38,7 @@ from .device_model import (
     service_request,
 )
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm
+from .net_model import Nlm, pcg64_stream
 from .orchestrator import (
     DIGEST_CHARS,
     POLICY_WEIGHTED,
@@ -83,29 +88,19 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 
 
-class _SeedState(ISeedSequence):
-    """A seed sequence whose ``PCG64`` state words are already computed."""
+def substreams(master_seed: int, labels: Sequence[str]) -> list[tuple[int, int]]:
+    """One independent PCG64 stream per label, derived from the master seed.
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if (n_words, np.dtype(dtype)) != (len(self.state), self.state.dtype):
-            raise ValueError(f"holds {len(self.state)} {self.state.dtype} words only")
-        return self.state
-
-
-def substreams(master_seed: int, labels: Sequence[str]) -> list[np.random.Generator]:
-    """One independent generator per label, derived from the master seed.
-
-    Label ``l`` gets ``Generator(PCG64(SeedSequence([master_seed, *words])))``
-    where ``words`` are the four little-endian 64-bit words of
-    ``sha256(l)``. The seeding of all labels is computed in one pass.
+    Label ``l`` gets the ``(state, inc)`` that
+    ``PCG64(SeedSequence([master_seed, *words]))`` starts from, where
+    ``words`` are the four little-endian 64-bit words of ``sha256(l)``.
+    The seeding of all labels is computed in one pass, and no generator
+    is built.
     """
     digests = b"".join(hashlib.sha256(label.encode()).digest() for label in labels)
     entropy = _entropy(master_seed, np.frombuffer(digests, dtype="<u8").reshape(-1, 4))
-    states = _seed_states(*entropy)
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+    # one list per word, not one per label: fewer objects for the collector
+    return list(map(pcg64_stream, *_seed_states(*entropy).T.tolist()))
 
 
 def _entropy(master_seed: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,9 +489,7 @@ class Simulation:
         ]
         # each link's stream is labelled by its sorted endpoints
         labels = [f"link:{min(a, b)}:{max(a, b)}" for a, b, _ in links]
-        self.nlm.add_links(
-            (a, b, params, rng) for (a, b, params), rng in zip(links, substreams(self.seed, labels))
-        )
+        self.nlm.add_links((*link, stream) for link, stream in zip(links, substreams(self.seed, labels)))
 
         # prime every link with one probe so the matrix is total from t=0
         self.nlm.probe_all(0.0)

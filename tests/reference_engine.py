@@ -4,13 +4,17 @@
 once. Here one link's EMAs are a value: ``ema_update`` folds one sample
 into it and ``composite_score`` weighs it, so a link driven alone through
 ``sample_stable`` and ``ema_update`` must give, bit for bit, what the
-table gives it.
+table gives it. A link's stream is its PCG64 ``(state, inc)``;
+``generator_at`` and ``stream_of`` turn it into a numpy ``Generator`` and
+back, so the reference draws with numpy's own code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from edgesim.net_model import EMA_HORIZONS_S, EmaWeights, _check_order, _decay, _fold
 
@@ -54,3 +58,22 @@ def composite_score(state: EmaState, weights: EmaWeights) -> float:
         + weights.w_5m * state.ema_5m
         + weights.w_15m * state.ema_15m
     )
+
+
+def stream_of(rng: np.random.Generator) -> tuple[int, int]:
+    """The PCG64 ``(state, inc)`` a ``Generator`` draws its next value from."""
+    words = rng.bit_generator.state["state"]
+    return words["state"], words["inc"]
+
+
+def generator_at(stream: tuple[int, int]) -> np.random.Generator:
+    """A ``Generator`` whose next draws are those of the PCG64 ``stream``."""
+    bits = np.random.PCG64(0)
+    state, inc = stream
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)

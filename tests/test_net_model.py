@@ -18,7 +18,7 @@ from edgesim.net_model import (
 )
 from edgesim.profiler_health import CRITICAL, PASS, WARNING, classify
 
-from reference_engine import EmaState, composite_score, ema_update
+from reference_engine import EmaState, composite_score, ema_update, stream_of
 
 NO_FLOOR = -math.inf
 
@@ -117,7 +117,7 @@ class TestLinkBuffer:
     def test_buffered_draws_equal_scalar_draws(self, branch, k):
         params = CMS_BRANCHES[branch]
         nlm = Nlm(floor_ms=NO_FLOOR)
-        nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(11))
+        nlm.add_link("edge-a", "cam-1", params, stream=stream_of(np.random.default_rng(11)))
         buffered = np.array([nlm.sample_and_observe("edge-a", "cam-1", 0.0) for _ in range(k)])
         gen = np.random.default_rng(11)
         scalars = np.array([sample_stable(params, gen, floor_ms=NO_FLOOR) for _ in range(k)])
@@ -128,7 +128,7 @@ class TestLinkBuffer:
     def test_failed_leg_consumes_no_draw(self, before):
         params = StableParams(alpha=2.0)
         nlm = Nlm()
-        nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(0))
+        nlm.add_link("edge-a", "cam-1", params, stream=stream_of(np.random.default_rng(0)))
         gen = np.random.default_rng(0)
         stream = [sample_stable(params, gen) for _ in range(before + 1)]
         assert [nlm.sample_and_observe("edge-a", "cam-1", 5.0) for _ in range(before)] == stream[:before]
@@ -142,6 +142,50 @@ class TestLinkBuffer:
         nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
         with pytest.raises(ConfigurationError, match="generator"):
             nlm.sample_and_observe("edge-a", "edge-b", 0.0)
+
+
+class TestSharedBits:
+    """A matrix draws every row on its one bit generator, set to the
+    link's stream before each draw; the link stores its stream advanced
+    past the row."""
+
+    PARAMS = CMS_BRANCHES["symmetric"]
+
+    def _matrix(self, seeds):
+        nlm = Nlm(floor_ms=NO_FLOOR)
+        for k in seeds:
+            nlm.add_link("edge-a", f"cam-{k}", self.PARAMS, stream=stream_of(np.random.default_rng(k)))
+        return nlm
+
+    @staticmethod
+    def _draws(nlm, seeds, step):
+        return [nlm.sample_and_observe("edge-a", f"cam-{k}", float(step)) for k in seeds]
+
+    def test_matrices_refilling_in_turn_draw_as_each_alone(self):
+        matrices = [(1, 2), (3,)]
+        steps = range(9)  # a row of 2 is refilled 5 times per link
+        with mock.patch.object(net_model, "_BLOCK_CAP", 2):
+            alone = []
+            for seeds in matrices:
+                nlm = self._matrix(seeds)
+                alone.append([self._draws(nlm, seeds, t) for t in steps])
+            built = [self._matrix(seeds) for seeds in matrices]
+            in_turn = [[] for _ in matrices]
+            for t in steps:
+                for draws, nlm, seeds in zip(in_turn, built, matrices):
+                    draws.append(self._draws(nlm, seeds, t))
+        assert in_turn == alone
+
+    @pytest.mark.parametrize("cap", [1, 2, 64])
+    @pytest.mark.parametrize("refills", [1, 2, 5])
+    def test_stored_stream_is_advanced_past_every_drawn_row(self, cap, refills):
+        with mock.patch.object(net_model, "_BLOCK_CAP", cap):
+            nlm = self._matrix([4])
+            for t in range(refills * cap):
+                self._draws(nlm, [4], t)
+        expected = np.random.default_rng(4)
+        expected.random(2 * refills * cap)
+        assert net_model._stream_at(nlm._streams, 0) == stream_of(expected)
 
 
 class TestEmaUpdate:
@@ -380,7 +424,8 @@ class TestProbeAll:
             # the row width is read when the table is built
             nlm = Nlm(floor_ms=floor_ms)
             for i, branch in enumerate(links):
-                nlm.add_link(f"edge-{i}", f"cam-{i}", CMS_BRANCHES[branch], rng=np.random.default_rng(i))
+                stream = stream_of(np.random.default_rng(i))
+                nlm.add_link(f"edge-{i}", f"cam-{i}", CMS_BRANCHES[branch], stream=stream)
                 reference.append([np.random.default_rng(i), EmaState(), None])
             for kind, now_s, leg in steps:
                 if kind == "probe":
@@ -402,8 +447,8 @@ class TestProbeAll:
     def test_time_regression_raises_and_changes_nothing(self):
         params = CMS_BRANCHES["symmetric"]
         nlm = Nlm()
-        nlm.add_link("edge-a", "cam-1", params, rng=np.random.default_rng(1))
-        nlm.add_link("edge-a", "cam-2", params, rng=np.random.default_rng(2))
+        nlm.add_link("edge-a", "cam-1", params, stream=stream_of(np.random.default_rng(1)))
+        nlm.add_link("edge-a", "cam-2", params, stream=stream_of(np.random.default_rng(2)))
         nlm.sample_and_observe("edge-a", "cam-2", 5.0)
         before = (ema_of(nlm, "edge-a", "cam-1"), ema_of(nlm, "edge-a", "cam-2"))
         with pytest.raises(TimeRegressionError):
@@ -422,14 +467,14 @@ class TestProbeAll:
     def test_failed_probe_changes_nothing(self):
         params = StableParams(alpha=2.0)
         nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", params, rng=np.random.default_rng(0))
+        nlm.add_link("edge-a", "edge-b", params, stream=stream_of(np.random.default_rng(0)))
         nlm.add_link("edge-a", "edge-c", params)
         with pytest.raises(ConfigurationError, match="generator") as failed:
             nlm.probe_all(0.0)
         # ``failed`` still holds the traceback: a numpy view kept by one of
         # its frames would make growing the columns raise BufferError
-        nlm.add_link("edge-a", "edge-c", params, rng=np.random.default_rng(1))
-        nlm.add_link("edge-a", "edge-d", params, rng=np.random.default_rng(2))
+        nlm.add_link("edge-a", "edge-c", params, stream=stream_of(np.random.default_rng(1)))
+        nlm.add_link("edge-a", "edge-d", params, stream=stream_of(np.random.default_rng(2)))
         assert failed.traceback
         # edge-a<->edge-b drew nothing in the failed probe
         nlm.probe_all(1.0)
@@ -440,9 +485,9 @@ class TestProbeAll:
 
     def test_re_adding_a_link_clears_its_row(self):
         nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), rng=np.random.default_rng(0))
+        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), stream=stream_of(np.random.default_rng(0)))
         nlm.probe_all(3.0)
-        nlm.add_link("edge-b", "edge-a", StableParams(alpha=2.0), rng=np.random.default_rng(0))
+        nlm.add_link("edge-b", "edge-a", StableParams(alpha=2.0), stream=stream_of(np.random.default_rng(0)))
         assert ema_of(nlm, "edge-a", "edge-b") == EmaState()
         assert row(nlm, "edge-a", "edge-b")["latest_ms"] is None
         assert nlm.pairs() == [("edge-a", "edge-b")]
@@ -457,19 +502,19 @@ class TestAddLinks:
 
     def _probed(self):
         nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", self.PARAMS, rng=np.random.default_rng(0))
-        nlm.add_link("edge-a", "edge-c", self.PARAMS, rng=np.random.default_rng(1))
+        nlm.add_link("edge-a", "edge-b", self.PARAMS, stream=stream_of(np.random.default_rng(0)))
+        nlm.add_link("edge-a", "edge-c", self.PARAMS, stream=stream_of(np.random.default_rng(1)))
         nlm.probe_all(1.0)
         return nlm
 
     def _entries(self):
         return [
             # a probed link registered again: replaced, its row cleared
-            ("edge-b", "edge-a", self.OTHER, np.random.default_rng(5)),
-            ("edge-a", "cam-1", self.PARAMS, np.random.default_rng(6)),
-            ("edge-c", "cam-2", self.PARAMS, np.random.default_rng(7)),
+            ("edge-b", "edge-a", self.OTHER, stream_of(np.random.default_rng(5))),
+            ("edge-a", "cam-1", self.PARAMS, stream_of(np.random.default_rng(6))),
+            ("edge-c", "cam-2", self.PARAMS, stream_of(np.random.default_rng(7))),
             # a pair of this batch again, in the other order
-            ("cam-1", "edge-a", self.OTHER, np.random.default_rng(8)),
+            ("cam-1", "edge-a", self.OTHER, stream_of(np.random.default_rng(8))),
         ]
 
     @staticmethod
@@ -480,13 +525,14 @@ class TestAddLinks:
             nlm._draws.tobytes(),
             nlm._cursor.tobytes(),
             list(nlm.pairs()),
-            [(params, rng.bit_generator.state) for params, rng in nlm._links],
+            list(nlm._params),
+            nlm._streams.tobytes(),
         )
 
     def test_batch_equals_one_link_at_a_time(self):
         one_by_one, batch = self._probed(), self._probed()
-        for a, b, params, rng in self._entries():
-            one_by_one.add_link(a, b, params, rng)
+        for a, b, params, stream in self._entries():
+            one_by_one.add_link(a, b, params, stream)
         batch.add_links(self._entries())
         assert batch._number[("edge-a", "cam-1")] == 2
         assert ema_of(batch, "edge-a", "edge-b") == EmaState()
@@ -500,6 +546,7 @@ class TestAddLinks:
         [
             (("edge-d", "edge-d", PARAMS, None), "differ"),
             (("edge-d", "cam-3", StableParams(alpha=2.5), None), "alpha"),
+            (("edge-d", "cam-3", PARAMS, (0, 2)), "odd"),
         ],
     )
     def test_bad_entry_changes_nothing(self, bad, match):

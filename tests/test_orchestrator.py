@@ -19,6 +19,8 @@ from edgesim.orchestrator import (
 )
 from edgesim.profiler_health import CRITICAL, PASS, ProfilerState
 
+from reference_engine import stream_of
+
 HEALTHY = NodeStatus(reachable=True, system_state=PASS)
 CRIT = NodeStatus(reachable=True, system_state=CRITICAL)
 DOWN = NodeStatus(reachable=False, system_state=PASS)
@@ -288,17 +290,15 @@ class TestMigrationCost:
     def test_fixed_link_plus_overhead(self):
         # near-deterministic link pinned at 13 ms
         nlm = Nlm()
-        nlm.add_link(
-            "edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=13.0), rng=np.random.default_rng(0)
-        )
+        params = StableParams(alpha=2.0, scale=1e-12, location=13.0)
+        nlm.add_link("edge-a", "edge-b", params, stream=stream_of(np.random.default_rng(0)))
         cost = migration_cost_ms(nlm, "edge-a", "edge-b", 50.0)
         assert cost == pytest.approx(63.0, abs=1e-6)
 
     def test_degenerate_costs_vanish(self):
         nlm = Nlm(floor_ms=0.0)
-        nlm.add_link(
-            "edge-a", "edge-b", StableParams(alpha=2.0, scale=1e-12, location=0.0), rng=np.random.default_rng(0)
-        )
+        params = StableParams(alpha=2.0, scale=1e-12, location=0.0)
+        nlm.add_link("edge-a", "edge-b", params, stream=stream_of(np.random.default_rng(0)))
         cost = migration_cost_ms(nlm, "edge-a", "edge-b", 0.0)
         assert cost == pytest.approx(0.0, abs=1e-9)
 

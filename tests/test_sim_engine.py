@@ -45,6 +45,7 @@ from engine_checks import (
     downtime_windows,
     table_of,
 )
+from reference_engine import generator_at, stream_of
 
 
 def mini_profile(name, cpu=10.0, accel=20.0):
@@ -92,9 +93,9 @@ class TestDeterminism:
         assert to_json(a) == to_json(b)
 
     def test_substream_is_stable(self):
-        a = substreams(42, ["link:a:b"])[0].random(8)
-        b = substreams(42, ["link:a:b"])[0].random(8)
-        c = substreams(42, ["link:a:c"])[0].random(8)
+        a = generator_at(substreams(42, ["link:a:b"])[0]).random(8)
+        b = generator_at(substreams(42, ["link:a:b"])[0]).random(8)
+        c = generator_at(substreams(42, ["link:a:c"])[0]).random(8)
         assert list(a) == list(b)
         assert list(a) != list(c)
 
@@ -128,10 +129,10 @@ class TestSeeding:
     @example(seed=0, labels=[])
     @example(seed=2**64 - 1, labels=["link:a:b", "link:a:b", ""])
     def test_every_generator_matches_seed_sequence(self, seed, labels):
-        generators = substreams(seed, labels)
-        assert len(generators) == len(labels)
-        for label, generator in zip(labels, generators):
-            assert generator.bit_generator.state == scalar_substream(seed, label).bit_generator.state
+        streams = substreams(seed, labels)
+        assert len(streams) == len(labels)
+        for label, stream in zip(labels, streams):
+            assert stream == stream_of(scalar_substream(seed, label))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -185,7 +186,7 @@ class TestSeeding:
     def test_substream_equals_its_entry_in_a_batch(self):
         one = substreams(2**40 + 3, ["link:a:b"])[0]
         batch = substreams(2**40 + 3, ["link:a:c", "link:a:b"])[1]
-        assert one.bit_generator.state == batch.bit_generator.state
+        assert one == batch == stream_of(scalar_substream(2**40 + 3, "link:a:b"))
 
     def test_invalid_seeds_raise_like_seed_sequence(self):
         # in a child process, so a word splitter that loops forever on a
@@ -229,8 +230,18 @@ class TestSeeding:
             expected = scalar_substream(seed, f"link:{a}:{b}")
             # setup primed every link, which filled its row of draws
             expected.random((net_model._BLOCK_CAP, 2))
-            _, rng = sim.nlm._links[sim.nlm._index(a, b)]
-            assert rng.bit_generator.state == expected.bit_generator.state
+            stream = net_model._stream_at(sim.nlm._streams, sim.nlm._index(a, b))
+            assert stream == stream_of(expected)
+
+    def test_links_hold_few_bytes(self):
+        # with a Generator per link, a built run held about 1,750 bytes per
+        # link; with its PCG64 (state, inc) as four words of a column, drawn
+        # on the matrix's one bit generator, about 960: its row of 64
+        # draws, its EMA columns, its stream words and its index entries
+        sim, held = traced(lambda: Simulation(mini_scenario(n_nodes=24, n_devices=40)))
+        links = len(sim.nlm.pairs())
+        assert links == 24 * 23 // 2 + 24 * 40
+        assert held / links <= 1300
 
 
 def weighted_fault_scenario():
@@ -1073,8 +1084,8 @@ class TestFrameTable:
         assert held / (len(report.frames) + len(report.decision_log)) <= 260
 
 
-def run_traced(sim):
-    """The report of ``sim.run()`` and the traced bytes the run left held."""
+def traced(call):
+    """What ``call()`` returns and the traced bytes it left held."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -1082,12 +1093,17 @@ def run_traced(sim):
         # a full collection also empties the interpreter's free lists
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        report = sim.run()
+        result = call()
         gc.collect()
-        return report, tracemalloc.get_traced_memory()[0] - before
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+def run_traced(sim):
+    """The report of ``sim.run()`` and the traced bytes the run left held."""
+    return traced(sim.run)
 
 
 decision_rows = st.fixed_dictionaries(
