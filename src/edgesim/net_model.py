@@ -8,18 +8,20 @@ One floor, at which draws are clamped, and one budget, against which
 scores are classified, hold for every link of the matrix.
 
 A link's random stream is the two 128-bit words ``(state, inc)`` of a
-numpy ``PCG64``, which the matrix keeps in a column. Its one ``PCG64`` is
-set to a link's words to draw the link's row, so no link holds a
-generator of its own, and the uniforms are those
+numpy ``PCG64``, which the matrix derives from its seed and the link's
+sorted endpoints (``substreams``) and keeps in a column. Its one
+``PCG64`` is set to a link's words to draw the link's row, so no link
+holds a generator of its own, and the uniforms are those
 ``np.random.Generator.random`` gives on that stream.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +123,108 @@ def sample_stable_many(
     return _transform(params, rng.random((n, 2)), floor_ms)
 
 
+#: ``np.random.SeedSequence``'s hash constants. Its output for a given
+#: entropy is fixed (NEP 19), so ``substreams`` can compute it on arrays.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def substreams(master_seed: int, labels: Sequence[str]) -> list[tuple[int, int]]:
+    """One independent PCG64 stream per label, derived from the master seed.
+
+    Label ``l`` gets the ``(state, inc)`` that
+    ``PCG64(SeedSequence([master_seed, *words]))`` starts from, where
+    ``words`` are the four little-endian 64-bit words of ``sha256(l)``.
+    The seeding of all labels is computed in one pass, and no generator
+    is built.
+    """
+    digests = b"".join(hashlib.sha256(label.encode()).digest() for label in labels)
+    entropy = _entropy(master_seed, np.frombuffer(digests, dtype="<u8").reshape(-1, 4))
+    # one list per word, not one per label: fewer objects for the collector
+    return list(map(pcg64_stream, *_seed_states(*entropy).T.tolist()))
+
+
+def _entropy(master_seed: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words of ``[master_seed, *row]`` for every row of the
+    uint64 array ``values``, split as SeedSequence splits ints: row i's
+    words are ``words[i][keep[i]]``."""
+    seed_words = np.array(_uint32_words(master_seed), dtype=np.uint32)
+    halves = np.ascontiguousarray(values, dtype="<u8").view("<u4")  # low half first
+    words = np.hstack([np.tile(seed_words, (len(halves), 1)), halves])
+    # a value below 2^32 is one word, so its zero high half goes
+    keep = np.ones(words.shape, dtype=bool)
+    keep[:, len(seed_words) + 1 :: 2] = halves[:, 1::2] != 0
+    return words, keep
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as SeedSequence splits an int: low uint32 word first, 0 as [0]."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError("seed must be integer")
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    value = int(value)
+    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_states(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words[i][keep[i]]).generate_state(4, np.uint64)`` for
+    every row i of the uint32 array ``words``, as an (n, 4) array.
+
+    Rows with the same number of entropy words are mixed together.
+    """
+    lengths = keep.sum(axis=1)
+    states = np.empty((len(words), 4), dtype=np.uint64)
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        states[rows] = _mix(words[rows][keep[rows]].reshape(-1, length))
+    return states
+
+
+def _mix(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix_entropy`` then ``generate_state(4, np.uint64)``
+    on each row of ``entropy``, computed column by column.
+
+    Every operand is a uint32 array or ``np.uint32``, so the arithmetic
+    wraps the same way on every numpy version, without overflow warnings.
+    The hash constants do not depend on the data; they advance as Python
+    ints, one step per ``hashmix``.
+    """
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    columns = list(entropy.T)
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [
+        hashmix(columns[i] if i < len(columns) else zero, _MULT_A) for i in range(_POOL_SIZE)
+    ]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], _MULT_A))
+    for column in columns[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(column, _MULT_A))
+    const = _INIT_B
+    state = np.column_stack([hashmix(pool[i % _POOL_SIZE], _MULT_B) for i in range(8)])
+    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def pcg64_stream(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
     """The ``(state, inc)`` that ``PCG64`` starts from when its seed
     sequence generates the 64-bit words ``s0..s3``, by PCG's own seeding:
@@ -143,18 +247,6 @@ def _advance(steps: int) -> tuple[int, int]:
 
 
 _advance(2 * _BLOCK_CAP)  # a row's advance, computed at import, not in a run's setup
-
-
-def _stream_words(stream: tuple[int, int] | None) -> tuple[int, int, int, int]:
-    """A stream as the four uint64 words ``Nlm`` keeps it in: the state's
-    high and low word, then the inc's. Every PCG64 inc is odd, so all
-    zeros stand for no stream."""
-    if stream is None:
-        return 0, 0, 0, 0
-    state, inc = stream
-    if not inc & 1:
-        raise ConfigurationError(f"a PCG64 stream's inc must be odd, got {inc}")
-    return state >> 64, state & _MASK_64, inc >> 64, inc & _MASK_64
 
 
 def _stream_at(words: array, i: int) -> tuple[int, int]:
@@ -227,8 +319,10 @@ class Nlm:
     """Network latency matrix over all edge<->edge and edge<->device pairs.
 
     A link is its stable law and the PCG64 stream, ``(state, inc)``, its
-    draws come from, kept as four words of the uint64 column ``_streams``
-    and advanced past every drawn row; the matrix's one bit generator,
+    draws come from: the stream ``substreams`` gives the matrix's ``seed``
+    for the label ``link:<lo>:<hi>`` of its sorted endpoints, kept as four
+    words of the uint64 column ``_streams`` (state high and low, then
+    inc) and advanced past every drawn row; the matrix's one bit generator,
     shared by all its links, draws the rows. Every draw is clamped at the
     matrix's ``floor_ms``, and every score is classified against its
     ``budget_ms``. Links are numbered in the order they are added, and
@@ -248,15 +342,17 @@ class Nlm:
         weights: EmaWeights | None = None,
         floor_ms: float = DEFAULT_FLOOR_MS,
         budget_ms: float = DEFAULT_LINK_BUDGET_MS,
+        *,
+        seed: int,
     ):
         self.weights = weights or EmaWeights()
         self.weights.validate()
         self.floor_ms = floor_ms
         self.budget_ms = budget_ms
+        self.seed = seed
         self._number: dict[tuple[str, str], int] = {}
         self._params: list[StableParams] = []
-        self._streams = array("Q")  # four words per link (_stream_words)
-        self._pairs: list[tuple[str, str]] | None = None
+        self._streams = array("Q")  # four words per link
         self._emas = tuple(array("d") for _ in EMA_HORIZONS_S)
         self._last_update = array("d")
         self._latest_ms = array("d")
@@ -268,46 +364,38 @@ class Nlm:
         self._bits = np.random.PCG64(0)  # set to a link's stream before each of its rows
         self._rng = np.random.Generator(self._bits)
 
-    def add_link(self, a: str, b: str, params: StableParams, stream: tuple[int, int] | None = None) -> None:
-        """Register a link; ``stream`` is the PCG64 ``(state, inc)`` its
-        draws come from, as ``sim_engine.substreams`` gives them.
+    def add_link(self, a: str, b: str, params: StableParams) -> None:
+        """Register a link between ``a`` and ``b`` drawing from ``params``."""
+        self.add_links([(a, b, params)])
 
-        Registering a pair again replaces its link and clears its row.
-        """
-        self.add_links([(a, b, params, stream)])
-
-    def add_links(self, entries: Iterable[tuple[str, str, StableParams, tuple[int, int] | None]]) -> None:
+    def add_links(self, entries: Iterable[tuple[str, str, StableParams]]) -> None:
         """Register links in order, as ``add_link`` on each entry in turn.
 
-        Every entry is checked before anything changes, so a bad one
+        A pair, in either order, is registered once. Every entry is checked
+        and every stream derived before anything changes, so a bad entry
         raises with the matrix as it was; then each column grows once.
         """
         entries = list(entries)
         checked = set()
-        words = array("Q")
-        for a, b, params, stream in entries:
+        labels, seen = [], set()
+        for a, b, params in entries:
             if a == b:
                 raise ConfigurationError(f"link endpoints must differ, got {a!r} twice")
             if params not in checked:
                 params.validate()
                 checked.add(params)
-            words.extend(_stream_words(stream))  # OverflowError past 128 bits
-        old = len(self._params)
-        for k, (a, b, params, _) in enumerate(entries):
-            stream = words[4 * k : 4 * k + 4]
-            i = self._number.get((a, b))
-            if i is None:
-                self._number[(a, b)] = self._number[(b, a)] = len(self._params)
-                self._params.append(params)
-                self._streams.extend(stream)
-                continue
-            self._params[i] = params
-            self._streams[4 * i : 4 * i + 4] = stream
-            if i < old:  # rows new in this batch are appended clear below
-                for column in self._columns:
-                    column[i] = 0
-                self._cursor[i] = self._width
-        added = len(self._params) - old
+            lo, hi = (a, b) if a < b else (b, a)
+            label = f"link:{lo}:{hi}"
+            if (a, b) in self._number or label in seen:
+                raise ConfigurationError(f"link between {lo!r} and {hi!r} registered twice")
+            seen.add(label)
+            labels.append(label)
+        streams = substreams(self.seed, labels)
+        for (a, b, params), (state, inc) in zip(entries, streams):
+            self._number[(a, b)] = self._number[(b, a)] = len(self._params)
+            self._params.append(params)
+            self._streams.extend((state >> 64, state & _MASK_64, inc >> 64, inc & _MASK_64))
+        added = len(entries)
         # frombytes, not extend: extend(bytes(n)) appends n values
         for column in self._columns:
             column.frombytes(bytes(column.itemsize * added))
@@ -318,7 +406,6 @@ class Nlm:
         for _ in range(added):
             self._draws.frombytes(row)
         self._cursor.extend(array("q", [self._width]) * added)
-        self._pairs = None
 
     def _index(self, a: str, b: str) -> int:
         try:
@@ -327,14 +414,8 @@ class Nlm:
             raise ConfigurationError(f"no link registered between {a!r} and {b!r}") from None
 
     def pairs(self) -> list[tuple[str, str]]:
-        """Canonical (sorted) endpoint pairs, one per physical link.
-
-        The list is cached until the next registration and shared between
-        callers, who must not mutate it.
-        """
-        if self._pairs is None:
-            self._pairs = sorted(k for k in self._number if k[0] < k[1])
-        return self._pairs
+        """Canonical (sorted) endpoint pairs, one per physical link."""
+        return sorted(k for k in self._number if k[0] < k[1])
 
     def observe(self, a: str, b: str, sample_ms: float, now_s: float) -> None:
         """Record a measured latency on a link, folded in place into its row."""
@@ -374,8 +455,7 @@ class Nlm:
         its cursor; ``exp`` is ``math.exp`` once per distinct elapsed time
         and horizon, and the fold is the same IEEE arithmetic on arrays.
         Raises ``TimeRegressionError`` if a link was updated after
-        ``now_s``, or ``ConfigurationError`` if a link due for a refill has
-        no stream, changing nothing either way.
+        ``now_s``, changing nothing.
         """
         _check_order(now_s, self._last_sampled())
         empty = np.flatnonzero(np.frombuffer(self._cursor, dtype=np.int64) == self._width)
@@ -412,13 +492,9 @@ class Nlm:
         so its row holds that stream's next scalar draws, and stores the
         stream advanced past them. The transform is elementwise, so the
         links sharing params share one call per ``_REFILL_CHUNK`` rows.
-        Every link is checked before any draws, and no view is taken
-        until then, so a raise changes nothing.
         """
         groups: dict[StableParams, list[int]] = {}
         for i in rows:
-            if not self._streams[4 * i + 3]:  # zero words: no stream
-                raise ConfigurationError("link has no generator stream to draw from")
             groups.setdefault(self._params[i], []).append(i)
         width = self._width
         table = np.frombuffer(self._draws).reshape(-1, width)

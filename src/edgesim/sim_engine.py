@@ -10,7 +10,6 @@ one component never perturb another's draws.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
@@ -38,7 +37,7 @@ from .device_model import (
     service_request,
 )
 from .errors import AssignmentUnavailableError, ConfigurationError
-from .net_model import Nlm, pcg64_stream
+from .net_model import Nlm
 from .orchestrator import (
     DIGEST_CHARS,
     POLICY_WEIGHTED,
@@ -72,112 +71,9 @@ __all__ = [
     "MetricsReport",
     "Simulation",
     "run",
-    "substreams",
 ]
 
 _TIME_EPS = 1e-9
-
-
-#: ``np.random.SeedSequence``'s hash constants. Its output for a given
-#: entropy is fixed (NEP 19), so ``substreams`` can compute it on arrays.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-
-
-def substreams(master_seed: int, labels: Sequence[str]) -> list[tuple[int, int]]:
-    """One independent PCG64 stream per label, derived from the master seed.
-
-    Label ``l`` gets the ``(state, inc)`` that
-    ``PCG64(SeedSequence([master_seed, *words]))`` starts from, where
-    ``words`` are the four little-endian 64-bit words of ``sha256(l)``.
-    The seeding of all labels is computed in one pass, and no generator
-    is built.
-    """
-    digests = b"".join(hashlib.sha256(label.encode()).digest() for label in labels)
-    entropy = _entropy(master_seed, np.frombuffer(digests, dtype="<u8").reshape(-1, 4))
-    # one list per word, not one per label: fewer objects for the collector
-    return list(map(pcg64_stream, *_seed_states(*entropy).T.tolist()))
-
-
-def _entropy(master_seed: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 words of ``[master_seed, *row]`` for every row of the
-    uint64 array ``values``, split as SeedSequence splits ints: row i's
-    words are ``words[i][keep[i]]``."""
-    seed_words = np.array(_uint32_words(master_seed), dtype=np.uint32)
-    halves = np.ascontiguousarray(values, dtype="<u8").view("<u4")  # low half first
-    words = np.hstack([np.tile(seed_words, (len(halves), 1)), halves])
-    # a value below 2^32 is one word, so its zero high half goes
-    keep = np.ones(words.shape, dtype=bool)
-    keep[:, len(seed_words) + 1 :: 2] = halves[:, 1::2] != 0
-    return words, keep
-
-
-def _uint32_words(value: int) -> list[int]:
-    """``value`` as SeedSequence splits an int: low uint32 word first, 0 as [0]."""
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError("seed must be integer")
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    value = int(value)
-    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _seed_states(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``SeedSequence(words[i][keep[i]]).generate_state(4, np.uint64)`` for
-    every row i of the uint32 array ``words``, as an (n, 4) array.
-
-    Rows with the same number of entropy words are mixed together.
-    """
-    lengths = keep.sum(axis=1)
-    states = np.empty((len(words), 4), dtype=np.uint64)
-    for length in set(lengths.tolist()):
-        rows = lengths == length
-        states[rows] = _mix(words[rows][keep[rows]].reshape(-1, length))
-    return states
-
-
-def _mix(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix_entropy`` then ``generate_state(4, np.uint64)``
-    on each row of ``entropy``, computed column by column.
-
-    Every operand is a uint32 array or ``np.uint32``, so the arithmetic
-    wraps the same way on every numpy version, without overflow warnings.
-    The hash constants do not depend on the data; they advance as Python
-    ints, one step per ``hashmix``.
-    """
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray, mult: int) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    columns = list(entropy.T)
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [
-        hashmix(columns[i] if i < len(columns) else zero, _MULT_A) for i in range(_POOL_SIZE)
-    ]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], _MULT_A))
-    for column in columns[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(column, _MULT_A))
-    const = _INIT_B
-    state = np.column_stack([hashmix(pool[i % _POOL_SIZE], _MULT_B) for i in range(8)])
-    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _emits(start_s: float, fps: float, k: int, duration_s: float) -> bool:
@@ -459,7 +355,7 @@ class Simulation:
 
         self.services = sorted({d.service for d in scenario.end_devices})
         net = scenario.network
-        self.nlm = Nlm(net.ema_weights, net.floor_ms, net.link_budget_ms)
+        self.nlm = Nlm(net.ema_weights, net.floor_ms, net.link_budget_ms, seed=self.seed)
         self.registry = discovery.ServiceRegistry()
         self._setup()
 
@@ -487,9 +383,7 @@ class Simulation:
             for device in sorted(scenario.end_devices, key=lambda d: d.id)
             for name in node_names
         ]
-        # each link's stream is labelled by its sorted endpoints
-        labels = [f"link:{min(a, b)}:{max(a, b)}" for a, b, _ in links]
-        self.nlm.add_links((*link, stream) for link, stream in zip(links, substreams(self.seed, labels)))
+        self.nlm.add_links(links)
 
         # prime every link with one probe so the matrix is total from t=0
         self.nlm.probe_all(0.0)

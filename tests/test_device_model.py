@@ -302,7 +302,7 @@ class TestComponentsMemo:
                 assert not runtime._served
 
     def test_node_weights_same_with_warm_memo(self, profiles):
-        nlm = Nlm()
+        nlm = Nlm(seed=0)
         for i, name in enumerate(sorted(profiles)):
             nlm.add_link(name, "rpi-1", StableParams(alpha=2.0, scale=0.01, location=5.0 + i))
             nlm.observe(name, "rpi-1", 5.0 + i, 0.0)

@@ -15,7 +15,7 @@ def build_registry(nodes=("edge-a", "edge-b", "edge-c")):
 
 
 def build_nlm(scores):
-    nlm = Nlm()
+    nlm = Nlm(seed=0)
     for node, score in scores.items():
         nlm.add_link(node, "rpi-1", StableParams(alpha=2.0, scale=0.01, location=score))
         nlm.observe(node, "rpi-1", score, 0.0)

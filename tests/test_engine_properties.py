@@ -1,12 +1,16 @@
-"""Engine invariants over randomly generated small scenarios."""
+"""Engine invariants and output relations over randomly generated small
+scenarios."""
 
+import copy
 import dataclasses
+import io
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from edgesim import presets
+from edgesim.cli import write_decisions_log, write_frames_csv, write_report_json
 from edgesim.discovery import UNHEALTHY
 from edgesim.errors import ConfigurationError
 from edgesim.orchestrator import POLICIES
@@ -89,3 +93,67 @@ def test_engine_invariants_hold_on_random_scenarios(scenario):
         assert (entry["status"] == UNHEALTHY) == critical, entry
 
     assert Simulation(scenario).run().to_dict() == report.to_dict()
+
+
+def outputs(scenario) -> dict[str, str]:
+    """The text of ``report.json``, ``frames.csv`` and ``decisions.log``
+    of one run of ``scenario``."""
+    report = Simulation(scenario).run()
+    writers = {
+        "report.json": write_report_json,
+        "frames.csv": write_frames_csv,
+        "decisions.log": lambda report, handle: write_decisions_log(report.decision_log, handle),
+    }
+    texts = {}
+    for name, write in writers.items():
+        handle = io.StringIO()
+        write(report, handle)
+        texts[name] = handle.getvalue()
+    return texts
+
+
+def check_output_relations(scenario):
+    """Two relations between runs that must hold for every scenario.
+
+    Stream isolation: one more end device, starting as the run ends, emits
+    nothing, so it changes no frame and no decision, though its links are
+    drawn at every epoch. Its id sorts before every other id, so its links
+    are numbered ahead of the other end devices' links: a link's stream
+    must come from its endpoints, not from its number.
+
+    Input-order invariance: the order of ``devices``, ``end_devices`` and
+    ``faults`` is not part of a scenario's meaning, so reversing them
+    changes no byte of any output.
+    """
+    base = outputs(scenario)
+
+    late = copy.deepcopy(scenario)
+    assert all(d.id > "aa-late" for d in late.end_devices)
+    late.end_devices.append(
+        EndDevice(id="aa-late", fps=1.0, frame_size_px=600, qos_ms=150.0, start_s=late.sim.duration_s)
+    )
+    isolated = outputs(late)
+    assert isolated["report.json"] != base["report.json"]  # it has the device's links
+    for name in ("frames.csv", "decisions.log"):
+        assert isolated[name] == base[name], name
+
+    flipped = copy.deepcopy(scenario)
+    for items in (flipped.devices, flipped.end_devices, flipped.faults):
+        items.reverse()
+    assert outputs(flipped) == base
+
+
+@pytest.mark.parametrize(
+    "preset", [presets.default_scenario, presets.overload_scenario, presets.fault_scenario]
+)
+def test_output_relations_hold_on_presets(preset):
+    scenario = preset()
+    scenario.sim.seed = 1
+    check_output_relations(scenario)
+
+
+@given(scenario=small_scenarios())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_output_relations_hold_on_random_scenarios(scenario):
+    assume(not overlapping_faults(scenario.faults))
+    check_output_relations(scenario)

@@ -15,12 +15,19 @@ from edgesim.net_model import (
     StableParams,
     sample_stable,
     sample_stable_many,
+    substreams,
 )
 from edgesim.profiler_health import CRITICAL, PASS, WARNING, classify
 
-from reference_engine import EmaState, composite_score, ema_update, stream_of
+from reference_engine import EmaState, composite_score, ema_update, generator_at, stream_of
 
 NO_FLOOR = -math.inf
+
+
+def link_generator(seed, a, b):
+    """A ``Generator`` on the stream a matrix seeded with ``seed`` gives the
+    link between ``a`` and ``b``."""
+    return generator_at(substreams(seed, [f"link:{min(a, b)}:{max(a, b)}"])[0])
 
 
 def ema_of(nlm, a, b):
@@ -35,7 +42,7 @@ def row(nlm, a, b):
 
 
 def one_link(weights=None, budget_ms=net_model.DEFAULT_LINK_BUDGET_MS):
-    nlm = Nlm(weights, budget_ms=budget_ms)
+    nlm = Nlm(weights, budget_ms=budget_ms, seed=0)
     nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
     return nlm
 
@@ -116,10 +123,10 @@ class TestLinkBuffer:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 63, 64, 65, 200])
     def test_buffered_draws_equal_scalar_draws(self, branch, k):
         params = CMS_BRANCHES[branch]
-        nlm = Nlm(floor_ms=NO_FLOOR)
-        nlm.add_link("edge-a", "cam-1", params, stream=stream_of(np.random.default_rng(11)))
+        nlm = Nlm(floor_ms=NO_FLOOR, seed=11)
+        nlm.add_link("edge-a", "cam-1", params)
         buffered = np.array([nlm.sample_and_observe("edge-a", "cam-1", 0.0) for _ in range(k)])
-        gen = np.random.default_rng(11)
+        gen = link_generator(11, "edge-a", "cam-1")
         scalars = np.array([sample_stable(params, gen, floor_ms=NO_FLOOR) for _ in range(k)])
         assert np.array_equal(buffered, scalars)
 
@@ -127,21 +134,15 @@ class TestLinkBuffer:
     @pytest.mark.parametrize("before", [1, 64])
     def test_failed_leg_consumes_no_draw(self, before):
         params = StableParams(alpha=2.0)
-        nlm = Nlm()
-        nlm.add_link("edge-a", "cam-1", params, stream=stream_of(np.random.default_rng(0)))
-        gen = np.random.default_rng(0)
+        nlm = Nlm(seed=0)
+        nlm.add_link("edge-a", "cam-1", params)
+        gen = link_generator(0, "edge-a", "cam-1")
         stream = [sample_stable(params, gen) for _ in range(before + 1)]
         assert [nlm.sample_and_observe("edge-a", "cam-1", 5.0) for _ in range(before)] == stream[:before]
         with pytest.raises(TimeRegressionError):
             nlm.sample_and_observe("edge-a", "cam-1", 4.0)
         assert row(nlm, "edge-a", "cam-1")["latest_ms"] == stream[before - 1]
         assert nlm.sample_and_observe("edge-a", "cam-1", 6.0) == stream[before]
-
-    def test_link_without_generator_cannot_draw(self):
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
-        with pytest.raises(ConfigurationError, match="generator"):
-            nlm.sample_and_observe("edge-a", "edge-b", 0.0)
 
 
 class TestSharedBits:
@@ -151,39 +152,40 @@ class TestSharedBits:
 
     PARAMS = CMS_BRANCHES["symmetric"]
 
-    def _matrix(self, seeds):
-        nlm = Nlm(floor_ms=NO_FLOOR)
-        for k in seeds:
-            nlm.add_link("edge-a", f"cam-{k}", self.PARAMS, stream=stream_of(np.random.default_rng(k)))
+    def _matrix(self, seed, cams):
+        nlm = Nlm(floor_ms=NO_FLOOR, seed=seed)
+        for k in cams:
+            nlm.add_link("edge-a", f"cam-{k}", self.PARAMS)
         return nlm
 
     @staticmethod
-    def _draws(nlm, seeds, step):
-        return [nlm.sample_and_observe("edge-a", f"cam-{k}", float(step)) for k in seeds]
+    def _draws(nlm, cams, step):
+        return [nlm.sample_and_observe("edge-a", f"cam-{k}", float(step)) for k in cams]
 
     def test_matrices_refilling_in_turn_draw_as_each_alone(self):
-        matrices = [(1, 2), (3,)]
+        matrices = [(1, (1, 2)), (3, (1,))]  # (seed, cams)
         steps = range(9)  # a row of 2 is refilled 5 times per link
         with mock.patch.object(net_model, "_BLOCK_CAP", 2):
             alone = []
-            for seeds in matrices:
-                nlm = self._matrix(seeds)
-                alone.append([self._draws(nlm, seeds, t) for t in steps])
-            built = [self._matrix(seeds) for seeds in matrices]
+            for seed, cams in matrices:
+                nlm = self._matrix(seed, cams)
+                alone.append([self._draws(nlm, cams, t) for t in steps])
+            built = [self._matrix(seed, cams) for seed, cams in matrices]
             in_turn = [[] for _ in matrices]
             for t in steps:
-                for draws, nlm, seeds in zip(in_turn, built, matrices):
-                    draws.append(self._draws(nlm, seeds, t))
+                for draws, nlm, (_, cams) in zip(in_turn, built, matrices):
+                    draws.append(self._draws(nlm, cams, t))
         assert in_turn == alone
+        assert alone[0][0][0] != alone[1][0][0]  # edge-a<->cam-1 under two seeds
 
     @pytest.mark.parametrize("cap", [1, 2, 64])
     @pytest.mark.parametrize("refills", [1, 2, 5])
     def test_stored_stream_is_advanced_past_every_drawn_row(self, cap, refills):
         with mock.patch.object(net_model, "_BLOCK_CAP", cap):
-            nlm = self._matrix([4])
+            nlm = self._matrix(4, [4])
             for t in range(refills * cap):
                 self._draws(nlm, [4], t)
-        expected = np.random.default_rng(4)
+        expected = link_generator(4, "edge-a", "cam-4")
         expected.random(2 * refills * cap)
         assert net_model._stream_at(nlm._streams, 0) == stream_of(expected)
 
@@ -303,7 +305,7 @@ class TestClassifyLink:
 
 class TestNlm:
     def _nlm(self):
-        nlm = Nlm()
+        nlm = Nlm(seed=0)
         nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0, scale=0.01, location=10.0))
         return nlm
 
@@ -357,7 +359,7 @@ class TestNlm:
         assert nlm.score("edge-b", "edge-a") == pytest.approx(12.0)
 
     def test_self_link_rejected(self):
-        nlm = Nlm()
+        nlm = Nlm(seed=0)
         with pytest.raises(ConfigurationError):
             nlm.add_link("edge-a", "edge-a", StableParams(alpha=2.0))
 
@@ -404,11 +406,12 @@ class TestProbeAll:
 
     @given(
         script=probe_scripts(),
+        seed=st.integers(0, 2**64 - 1),
         cap=st.sampled_from([1, net_model._BLOCK_CAP]),
         chunk=st.sampled_from([1, 3, net_model._REFILL_CHUNK]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_link_reference(self, script, cap, chunk):
+    def test_matches_per_link_reference(self, script, seed, cap, chunk):
         floor_ms, links, steps = script
         reference = []
 
@@ -422,11 +425,10 @@ class TestProbeAll:
             net_model, "_REFILL_CHUNK", chunk
         ):
             # the row width is read when the table is built
-            nlm = Nlm(floor_ms=floor_ms)
-            for i, branch in enumerate(links):
-                stream = stream_of(np.random.default_rng(i))
-                nlm.add_link(f"edge-{i}", f"cam-{i}", CMS_BRANCHES[branch], stream=stream)
-                reference.append([np.random.default_rng(i), EmaState(), None])
+            nlm = Nlm(floor_ms=floor_ms, seed=seed)
+            nlm.add_links((f"edge-{i}", f"cam-{i}", CMS_BRANCHES[branch]) for i, branch in enumerate(links))
+            streams = substreams(seed, [f"link:cam-{i}:edge-{i}" for i in range(len(links))])
+            reference.extend([generator_at(stream), EmaState(), None] for stream in streams)
             for kind, now_s, leg in steps:
                 if kind == "probe":
                     nlm.probe_all(now_s)
@@ -446,9 +448,9 @@ class TestProbeAll:
 
     def test_time_regression_raises_and_changes_nothing(self):
         params = CMS_BRANCHES["symmetric"]
-        nlm = Nlm()
-        nlm.add_link("edge-a", "cam-1", params, stream=stream_of(np.random.default_rng(1)))
-        nlm.add_link("edge-a", "cam-2", params, stream=stream_of(np.random.default_rng(2)))
+        nlm = Nlm(seed=1)
+        nlm.add_link("edge-a", "cam-1", params)
+        nlm.add_link("edge-a", "cam-2", params)
         nlm.sample_and_observe("edge-a", "cam-2", 5.0)
         before = (ema_of(nlm, "edge-a", "cam-1"), ema_of(nlm, "edge-a", "cam-2"))
         with pytest.raises(TimeRegressionError):
@@ -456,41 +458,29 @@ class TestProbeAll:
         assert (ema_of(nlm, "edge-a", "cam-1"), ema_of(nlm, "edge-a", "cam-2")) == before
         # no draw was consumed either: the next probe takes each link's next value
         nlm.probe_all(6.0)
-        assert row(nlm, "edge-a", "cam-1")["latest_ms"] == sample_stable(params, np.random.default_rng(1))
-
-    def test_link_without_generator_cannot_be_probed(self):
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0))
-        with pytest.raises(ConfigurationError, match="generator"):
-            nlm.probe_all(0.0)
+        expected = sample_stable(params, link_generator(1, "edge-a", "cam-1"))
+        assert row(nlm, "edge-a", "cam-1")["latest_ms"] == expected
 
     def test_failed_probe_changes_nothing(self):
         params = StableParams(alpha=2.0)
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", params, stream=stream_of(np.random.default_rng(0)))
+        nlm = Nlm(seed=0)
+        nlm.add_link("edge-a", "edge-b", params)
         nlm.add_link("edge-a", "edge-c", params)
-        with pytest.raises(ConfigurationError, match="generator") as failed:
-            nlm.probe_all(0.0)
+        nlm.sample_and_observe("edge-a", "edge-c", 2.0)
+        with pytest.raises(TimeRegressionError) as failed:
+            nlm.probe_all(1.0)
         # ``failed`` still holds the traceback: a numpy view kept by one of
         # its frames would make growing the columns raise BufferError
-        nlm.add_link("edge-a", "edge-c", params, stream=stream_of(np.random.default_rng(1)))
-        nlm.add_link("edge-a", "edge-d", params, stream=stream_of(np.random.default_rng(2)))
+        nlm.add_link("edge-a", "edge-d", params)
+        nlm.add_link("edge-b", "edge-c", params)
         assert failed.traceback
         # edge-a<->edge-b drew nothing in the failed probe
-        nlm.probe_all(1.0)
-        assert row(nlm, "edge-a", "edge-b")["latest_ms"] == sample_stable(params, np.random.default_rng(0))
+        nlm.probe_all(3.0)
+        expected = sample_stable(params, link_generator(0, "edge-a", "edge-b"))
+        assert row(nlm, "edge-a", "edge-b")["latest_ms"] == expected
 
     def test_empty_matrix_probe_is_a_no_op(self):
-        Nlm().probe_all(1.0)
-
-    def test_re_adding_a_link_clears_its_row(self):
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", StableParams(alpha=2.0), stream=stream_of(np.random.default_rng(0)))
-        nlm.probe_all(3.0)
-        nlm.add_link("edge-b", "edge-a", StableParams(alpha=2.0), stream=stream_of(np.random.default_rng(0)))
-        assert ema_of(nlm, "edge-a", "edge-b") == EmaState()
-        assert row(nlm, "edge-a", "edge-b")["latest_ms"] is None
-        assert nlm.pairs() == [("edge-a", "edge-b")]
+        Nlm(seed=0).probe_all(1.0)
 
 
 class TestAddLinks:
@@ -501,20 +491,18 @@ class TestAddLinks:
     OTHER = StableParams(alpha=2.0, location=9.0)
 
     def _probed(self):
-        nlm = Nlm()
-        nlm.add_link("edge-a", "edge-b", self.PARAMS, stream=stream_of(np.random.default_rng(0)))
-        nlm.add_link("edge-a", "edge-c", self.PARAMS, stream=stream_of(np.random.default_rng(1)))
+        nlm = Nlm(seed=3)
+        nlm.add_link("edge-a", "edge-b", self.PARAMS)
+        nlm.add_link("edge-a", "edge-c", self.PARAMS)
         nlm.probe_all(1.0)
         return nlm
 
     def _entries(self):
         return [
-            # a probed link registered again: replaced, its row cleared
-            ("edge-b", "edge-a", self.OTHER, stream_of(np.random.default_rng(5))),
-            ("edge-a", "cam-1", self.PARAMS, stream_of(np.random.default_rng(6))),
-            ("edge-c", "cam-2", self.PARAMS, stream_of(np.random.default_rng(7))),
-            # a pair of this batch again, in the other order
-            ("cam-1", "edge-a", self.OTHER, stream_of(np.random.default_rng(8))),
+            ("edge-b", "edge-c", self.OTHER),
+            ("edge-a", "cam-1", self.PARAMS),
+            ("cam-2", "edge-c", self.PARAMS),
+            ("cam-1", "edge-b", self.OTHER),
         ]
 
     @staticmethod
@@ -531,11 +519,12 @@ class TestAddLinks:
 
     def test_batch_equals_one_link_at_a_time(self):
         one_by_one, batch = self._probed(), self._probed()
-        for a, b, params, stream in self._entries():
-            one_by_one.add_link(a, b, params, stream)
+        for a, b, params in self._entries():
+            one_by_one.add_link(a, b, params)
         batch.add_links(self._entries())
-        assert batch._number[("edge-a", "cam-1")] == 2
-        assert ema_of(batch, "edge-a", "edge-b") == EmaState()
+        assert batch._number[("cam-2", "edge-c")] == 4
+        # each link's stream is labelled by its sorted endpoints
+        assert net_model._stream_at(batch._streams, 4) == substreams(3, ["link:cam-2:edge-c"])[0]
         assert self._table(batch) == self._table(one_by_one)
         one_by_one.probe_all(2.0)
         batch.probe_all(2.0)
@@ -544,9 +533,14 @@ class TestAddLinks:
     @pytest.mark.parametrize(
         "bad, match",
         [
-            (("edge-d", "edge-d", PARAMS, None), "differ"),
-            (("edge-d", "cam-3", StableParams(alpha=2.5), None), "alpha"),
-            (("edge-d", "cam-3", PARAMS, (0, 2)), "odd"),
+            (("edge-d", "edge-d", PARAMS), "differ"),
+            (("edge-d", "cam-3", StableParams(alpha=2.5)), "alpha"),
+            # a pair registered before, in either order
+            (("edge-a", "edge-b", PARAMS), "'edge-a' and 'edge-b' registered twice"),
+            (("edge-b", "edge-a", OTHER), "'edge-a' and 'edge-b' registered twice"),
+            # a pair of this batch again, in either order
+            (("edge-a", "cam-1", PARAMS), "'cam-1' and 'edge-a' registered twice"),
+            (("cam-1", "edge-a", OTHER), "'cam-1' and 'edge-a' registered twice"),
         ],
     )
     def test_bad_entry_changes_nothing(self, bad, match):

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from edgesim.device_model import DeviceProfile, NodeRuntime
@@ -19,8 +18,6 @@ from edgesim.orchestrator import (
 )
 from edgesim.profiler_health import CRITICAL, PASS, ProfilerState
 
-from reference_engine import stream_of
-
 HEALTHY = NodeStatus(reachable=True, system_state=PASS)
 CRIT = NodeStatus(reachable=True, system_state=CRITICAL)
 DOWN = NodeStatus(reachable=False, system_state=PASS)
@@ -28,12 +25,14 @@ DOWN = NodeStatus(reachable=False, system_state=PASS)
 
 def nlm_with_scores(device_scores, inter_edge_scores=None):
     """Matrix with EMA state pinned to exact scores via first observations."""
-    nlm = Nlm()
-    for node, score in device_scores.items():
-        nlm.add_link(node, "rpi-1", StableParams(alpha=2.0, scale=0.01, location=score))
-        nlm.observe(node, "rpi-1", score, 0.0)
-    for (a, b), score in (inter_edge_scores or {}).items():
-        nlm.add_link(a, b, StableParams(alpha=2.0, scale=0.01, location=score))
+    scores = {(node, "rpi-1"): score for node, score in device_scores.items()}
+    scores.update(inter_edge_scores or {})
+    nlm = Nlm(seed=0)
+    # one batch: the streams of a batch are seeded in one pass
+    nlm.add_links(
+        (a, b, StableParams(alpha=2.0, scale=0.01, location=score)) for (a, b), score in scores.items()
+    )
+    for (a, b), score in scores.items():
         nlm.observe(a, b, score, 0.0)
     return nlm
 
@@ -289,16 +288,16 @@ class TestAllocationWeights:
 class TestMigrationCost:
     def test_fixed_link_plus_overhead(self):
         # near-deterministic link pinned at 13 ms
-        nlm = Nlm()
+        nlm = Nlm(seed=0)
         params = StableParams(alpha=2.0, scale=1e-12, location=13.0)
-        nlm.add_link("edge-a", "edge-b", params, stream=stream_of(np.random.default_rng(0)))
+        nlm.add_link("edge-a", "edge-b", params)
         cost = migration_cost_ms(nlm, "edge-a", "edge-b", 50.0)
         assert cost == pytest.approx(63.0, abs=1e-6)
 
     def test_degenerate_costs_vanish(self):
-        nlm = Nlm(floor_ms=0.0)
+        nlm = Nlm(floor_ms=0.0, seed=0)
         params = StableParams(alpha=2.0, scale=1e-12, location=0.0)
-        nlm.add_link("edge-a", "edge-b", params, stream=stream_of(np.random.default_rng(0)))
+        nlm.add_link("edge-a", "edge-b", params)
         cost = migration_cost_ms(nlm, "edge-a", "edge-b", 0.0)
         assert cost == pytest.approx(0.0, abs=1e-9)
 

@@ -461,15 +461,17 @@ class TestRunCommand:
         assert len(per_frame) == len(rows)
 
     def test_sweep_writes_one_directory_per_seed(self, tmp_path):
+        # each seed's directory holds the bytes of a single run at that seed
         out = tmp_path / "sweep"
-        assert (
-            run_cli("run", "--scenario", "default", "--out", str(out), "--sweep", "seeds=1..5")
-            == 0
-        )
+        assert run_cli("run", "--scenario", "fault", "--out", str(out), "--sweep", "seeds=1..3") == 0
         dirs = sorted(p.name for p in out.iterdir())
-        assert dirs == [f"seed-{i}" for i in range(1, 6)]
-        for d in dirs:
-            assert (out / d / "report.json").exists()
+        assert dirs == [f"seed-{i}" for i in range(1, 4)]
+        for seed in range(1, 4):
+            single = tmp_path / f"single-{seed}"
+            assert run_cli("run", "--scenario", "fault", "--seed", str(seed), "--out", str(single)) == 0
+            assert sorted(p.name for p in (out / f"seed-{seed}").iterdir()) == sorted(OUTPUT_FILES)
+            for name in OUTPUT_FILES:
+                assert (out / f"seed-{seed}" / name).read_bytes() == (single / name).read_bytes(), name
 
     def test_bad_sweep_spec_is_validation_error(self, tmp_path, capsys):
         assert (

@@ -21,7 +21,7 @@ from edgesim import discovery, net_model, orchestrator, presets
 from edgesim.cli import write_outputs
 from edgesim.device_model import DeviceProfile, admit_task
 from edgesim.errors import ConfigurationError
-from edgesim.net_model import StableParams
+from edgesim.net_model import StableParams, _entropy, _seed_states, substreams
 from edgesim.profiler_health import classify
 from edgesim.scenario import EndDevice, FaultSpec, NetworkConfig, Scenario
 from edgesim.sim_engine import (
@@ -29,12 +29,9 @@ from edgesim.sim_engine import (
     DecisionTable,
     FrameRecord,
     Simulation,
-    _entropy,
     _frame_count,
     _Frame,
-    _seed_states,
     run,
-    substreams,
 )
 
 from engine_checks import (
@@ -196,7 +193,7 @@ class TestSeeding:
         child = (
             "import sys; sys.path[:0] = sys.argv[1:]\n"
             "import numpy as np\n"
-            "from edgesim.sim_engine import substreams\n"
+            "from edgesim.net_model import substreams\n"
             "for seed in (-1, -(2**64), np.int64(-3), 1.5, np.float64(2.0)):\n"
             "    calls = (lambda: substreams(seed, ['x']), lambda: substreams(seed, []),\n"
             "             lambda: np.random.SeedSequence([seed, 5]))\n"
